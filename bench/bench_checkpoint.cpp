@@ -56,7 +56,7 @@ Status InsertRows(Database* db, HeapTable* table, uint64_t base, uint64_t n) {
 void BM_RecoveryReplay(benchmark::State& state) {
   const bool with_checkpoint = state.range(0) != 0;
   auto disk = std::make_shared<InMemoryDiskManager>();
-  auto log = SegmentedLogStorage::InMemory();
+  auto log = std::make_shared<InMemoryLogStorage>();
   {
     auto db = OpenBenchDb(disk, log);
     if (!db.ok()) {
@@ -95,7 +95,7 @@ BENCHMARK(BM_RecoveryReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_CheckpointPause(benchmark::State& state) {
   const uint64_t dirty_rows = static_cast<uint64_t>(state.range(0));
   auto disk = std::make_shared<InMemoryDiskManager>();
-  auto log = SegmentedLogStorage::InMemory();
+  auto log = std::make_shared<InMemoryLogStorage>();
   auto db = OpenBenchDb(disk, log);
   if (!db.ok()) {
     state.SkipWithError(db.status().ToString().c_str());

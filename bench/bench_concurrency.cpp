@@ -6,10 +6,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 #include <string>
 
+#include "bench_files.h"
 #include "collab/retrying_client.h"
 #include "core/tendax.h"
 #include "storage/wal.h"
@@ -171,8 +171,7 @@ struct GroupCommitEnv {
   static GroupCommitEnv* Make(CommitFlushMode mode, const std::string& tag) {
     auto* e = new GroupCommitEnv();
     const std::string path = "bench_gc_" + tag + ".db";
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
+    RemoveDatabaseFiles(path);
     TendaxOptions options;
     options.db.path = path;
     options.db.buffer_pool_pages = 16384;

@@ -8,9 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 
+#include "bench_files.h"
 #include "core/tendax.h"
 #include "storage/wal.h"
 #include "workload/generators.h"
@@ -231,8 +231,7 @@ void BM_InsertCharDurable(benchmark::State& state) {
   static auto make = [](CommitFlushMode mode, const std::string& tag) {
     auto* e = new DurableEnv();
     const std::string path = "bench_edit_durable_" + tag + ".db";
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
+    RemoveDatabaseFiles(path);
     TendaxOptions options;
     options.db.path = path;
     options.db.buffer_pool_pages = 16384;

@@ -1,47 +1,38 @@
-// MVCC economics: what lock-free snapshot reads buy, and what snapshot
-// publication costs.
+// MVCC economics: what lock-free snapshot reads cost.
 //
 // BM_ReadersWithWriter/<readers> runs `readers` threads taking copy-paste
 // source reads (`TextStore::Copy`) from one shared document while a
 // background writer types durable keystrokes into it (file-backed WAL,
 // inline commit fsync — which holds the writer's exclusive document lock
-// through the flush, the strict-2PL behavior of the non-batched commit
-// modes). With MVCC on, every Copy materializes from the published
-// snapshot inside a lock-free snapshot-read transaction, so readers never
-// queue behind the fsync-ing writer. With MVCC off (`mvcc_snapshots =
-// false`) each Copy acquires a shared document lock and stalls for the
-// writer's full commit+fsync window — the pre-MVCC baseline. Each
-// iteration runs one round per mode back to back (interleaved A/B, so
-// fsync-cost drift cancels); acceptance is `snapshot_speedup >= 2` at /16.
+// through the flush). Every Copy materializes from the published snapshot
+// inside a lock-free snapshot-read transaction, so readers never queue
+// behind the fsync-ing writer.
 //
 // BM_AcquireSnapshot is the raw fast-path cost: one acquire-load plus a
 // shared_ptr refcount bump (and the mvcc.snapshots_acquired tick).
 //
-// BM_InsertCharDurable measures publication overhead on the write path
-// that matters — a durable single-character keystroke commit against a
-// file-backed WAL, publication on vs off, interleaved the same way;
-// acceptance is `publication_overhead_pct <= 5`.
+// The durable keystroke that publication rides on is bench_editing's
+// BM_InsertCharDurable.
 //
-// Regenerate the committed results with
-//   ./build/bench/bench_mvcc --benchmark_out=BENCH_mvcc.json
-//       --benchmark_out_format=json
+// BENCH_mvcc.json records the ablation against a locked-read baseline that
+// retired that path: snapshot reads at ~2.5x the locked readers'
+// throughput at /16, publication at ~2% of a durable keystroke. This bench
+// no longer regenerates those rows.
 //
 // NOTE: committed numbers come from a single-CPU VM; reader threads time
-// share, so the snapshot-vs-locked gap there is dominated by lock
-// convoying (parked readers burning scheduler quanta), not parallelism.
+// share.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_files.h"
 #include "core/tendax.h"
-#include "storage/wal.h"
 
 namespace tendax {
 namespace {
@@ -52,19 +43,13 @@ struct ReadEnv {
   DocumentId doc;
 };
 
-ReadEnv* MakeReadEnv(bool mvcc, const std::string& tag) {
+ReadEnv* MakeReadEnv(const std::string& tag) {
   auto* e = new ReadEnv();
   const std::string path = "bench_mvcc_readers_" + tag + ".db";
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
+  RemoveDatabaseFiles(path);
   TendaxOptions options;
   options.db.path = path;  // durable writer: X lock held through the fsync
   options.db.buffer_pool_pages = 16384;
-  options.mvcc_snapshots = mvcc;
-  // Readers must not give up while the writer holds the exclusive lock in
-  // the locked baseline — a long budget keeps them waiting, which is the
-  // cost under measurement.
-  options.db.lock_timeout = std::chrono::milliseconds(2000);
   e->server = *TendaxServer::Open(std::move(options));
   e->user = *e->server->accounts()->CreateUser("bench");
   e->doc = *e->server->text()->CreateDocument(e->user, "scanned");
@@ -104,31 +89,19 @@ double ReaderRound(ReadEnv* env, size_t readers) {
   return std::chrono::duration<double>(end - begin).count();
 }
 
-// Interleaved A/B contrast: every iteration runs one locked round and one
-// snapshot round back to back, so slow drift in fsync cost (the rounds are
-// dominated by how often readers stall behind the fsync-ing writer) hits
-// both sides equally. The committed acceptance number is the
-// `snapshot_speedup` counter — reader throughput ratio, snapshot over
-// locked — which must be >= 2 for /16.
 void BM_ReadersWithWriter(benchmark::State& state) {
-  static ReadEnv* locked = MakeReadEnv(false, "locked");
-  static ReadEnv* mvcc = MakeReadEnv(true, "mvcc");
+  static ReadEnv* env = MakeReadEnv("mvcc");
   const size_t readers = static_cast<size_t>(state.range(0));
 
-  double locked_secs = 0;
-  double mvcc_secs = 0;
-  uint64_t reads_per_side = 0;
+  double secs = 0;
+  uint64_t reads = 0;
   for (auto _ : state) {
-    locked_secs += ReaderRound(locked, readers);
-    mvcc_secs += ReaderRound(mvcc, readers);
-    reads_per_side += readers * kReadsPerReaderPerRound;
+    secs += ReaderRound(env, readers);
+    reads += readers * kReadsPerReaderPerRound;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(2 * reads_per_side));
-  state.counters["locked_reads_per_sec"] =
-      static_cast<double>(reads_per_side) / locked_secs;
+  state.SetItemsProcessed(static_cast<int64_t>(reads));
   state.counters["snapshot_reads_per_sec"] =
-      static_cast<double>(reads_per_side) / mvcc_secs;
-  state.counters["snapshot_speedup"] = locked_secs / mvcc_secs;
+      static_cast<double>(reads) / secs;
 }
 BENCHMARK(BM_ReadersWithWriter)
     ->Arg(1)
@@ -139,7 +112,7 @@ BENCHMARK(BM_ReadersWithWriter)
 
 // Raw snapshot acquisition: the read fast path with no materialization.
 void BM_AcquireSnapshot(benchmark::State& state) {
-  static ReadEnv* env = MakeReadEnv(true, "acquire");
+  static ReadEnv* env = MakeReadEnv("acquire");
   for (auto _ : state) {
     auto snap = env->server->text()->AcquireSnapshot(env->doc);
     if (!snap.ok()) state.SkipWithError(snap.status().ToString().c_str());
@@ -148,60 +121,6 @@ void BM_AcquireSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AcquireSnapshot);
-
-// Publication overhead on the durable keystroke path: the file-backed
-// per-commit-fsync insert, with snapshot publication on versus off. Again
-// interleaved A/B — fsync cost drifts far more than the publication delta
-// (a copy-on-write segment clone plus an atomic store, tens of
-// microseconds of CPU against hundreds of microseconds of flush wait) —
-// so each iteration alternates a batch on each server and the committed
-// acceptance number is the `publication_overhead_pct` counter (<= 5).
-void BM_InsertCharDurable(benchmark::State& state) {
-  static auto make = [](bool snapshots, const std::string& tag) {
-    auto* e = new ReadEnv();
-    const std::string path = "bench_mvcc_durable_" + tag + ".db";
-    std::remove(path.c_str());
-    std::remove((path + ".wal").c_str());
-    TendaxOptions options;
-    options.db.path = path;
-    options.db.buffer_pool_pages = 16384;
-    options.mvcc_snapshots = snapshots;
-    e->server = *TendaxServer::Open(std::move(options));
-    e->user = *e->server->accounts()->CreateUser("bench");
-    e->doc = *e->server->text()->CreateDocument(e->user, "durable");
-    return e;
-  };
-  static ReadEnv* off = make(false, "off");
-  static ReadEnv* on = make(true, "on");
-  constexpr size_t kBatch = 16;
-  auto batch = [&](ReadEnv* env) {
-    const auto begin = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < kBatch; ++i) {
-      auto r = env->server->text()->InsertText(env->user, env->doc, 0, "x");
-      if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         begin)
-        .count();
-  };
-  double off_secs = 0;
-  double on_secs = 0;
-  uint64_t inserts_per_side = 0;
-  for (auto _ : state) {
-    off_secs += batch(off);
-    on_secs += batch(on);
-    inserts_per_side += kBatch;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(2 * inserts_per_side));
-  const double per_side = static_cast<double>(inserts_per_side);
-  state.counters["insert_off_us"] = off_secs * 1e6 / per_side;
-  state.counters["insert_on_us"] = on_secs * 1e6 / per_side;
-  state.counters["publication_overhead_pct"] =
-      100.0 * (on_secs - off_secs) / off_secs;
-}
-BENCHMARK(BM_InsertCharDurable)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();  // the fsync wait dominates; CPU time would hide it
 
 }  // namespace
 }  // namespace tendax

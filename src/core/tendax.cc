@@ -16,7 +16,6 @@ Result<std::unique_ptr<TendaxServer>> TendaxServer::Open(
   Database* raw_db = server->db_.get();
 
   server->text_ = std::make_unique<TextStore>(raw_db);
-  server->text_->SetSnapshotsEnabled(options.mvcc_snapshots);
   TENDAX_RETURN_IF_ERROR(server->text_->Init());
 
   server->meta_ = std::make_unique<MetaStore>(raw_db);

@@ -39,9 +39,9 @@ struct TendaxOptions {
   /// `db.checkpoint_interval_micros` / `db.checkpoint_dirty_page_threshold`
   /// arm the background fuzzy checkpointer (either trigger suffices): it
   /// periodically writes back pre-checkpoint dirty pages, logs an ARIES
-  /// begin/end pair, and — over the segmented WAL that file-backed servers
-  /// use by default, rotating every `db.wal_segment_bytes` — deletes log
-  /// segments recovery can no longer need. Editing continues throughout;
+  /// begin/end pair, and — over the segmented WAL, in memory and on disk
+  /// alike, rotating every `db.wal_segment_bytes` — deletes log segments
+  /// recovery can no longer need. Editing continues throughout;
   /// the checkpointer thread stops with the server.
   DatabaseOptions db;
   /// Whether documents without explicit grants are open to every user
@@ -56,13 +56,6 @@ struct TendaxOptions {
   /// near-zero-cost configuration benchmarked by BM_MetricsOverhead.
   /// Ignored when `db.metrics` is already set.
   bool metrics_enabled = true;
-  /// MVCC snapshot reads (default on): committed edits publish immutable
-  /// refcounted snapshots and read-only operations (GetText, time travel,
-  /// copy sources, search indexing, stats) serve from them without
-  /// acquiring document locks. Off = the pre-MVCC behavior, where reads
-  /// share the handle mutex and Copy takes a shared document lock — the
-  /// ablation baseline measured by bench_mvcc.
-  bool mvcc_snapshots = true;
   /// Overload protection. `admission.max_inflight = 0` (the default) turns
   /// admission control off entirely; nonzero bounds concurrent wire
   /// requests, queues the overflow in priority order (heartbeats/resumes >

@@ -198,17 +198,15 @@ Status Checkpointer::RunOnce() {
     Lsn first = e.first_lsn == kInvalidLsn ? 1 : e.first_lsn;
     if (first < bound) bound = first;
   }
-  if (wal_->segmented()) {
-    // Seal the segment holding the end record so everything older becomes
-    // a deletion candidate at the *next* checkpoint, and this one can drop
-    // whatever previous checkpoints sealed.
-    TENDAX_RETURN_IF_ERROR(wal_->RotateSegmentNow());
-    auto freed = wal_->TruncateSegmentsBelow(bound);
-    if (!freed.ok()) return freed.status();
-    if (*freed > 0) {
-      MutexLock lock(state_mu_);
-      stats_.bytes_truncated += *freed;
-    }
+  // Seal the segment holding the end record so everything older becomes a
+  // deletion candidate at the *next* checkpoint, and this one can drop
+  // whatever previous checkpoints sealed.
+  TENDAX_RETURN_IF_ERROR(wal_->RotateSegmentNow());
+  auto freed = wal_->TruncateSegmentsBelow(bound);
+  if (!freed.ok()) return freed.status();
+  if (*freed > 0) {
+    MutexLock lock(state_mu_);
+    stats_.bytes_truncated += *freed;
   }
 
   Hook(index, CheckpointPhase::kAfterTruncate);

@@ -1,7 +1,6 @@
 #include "db/database.h"
 
 #include "db/slotted_page.h"
-#include "storage/segmented_log.h"
 #include "util/logging.h"
 
 namespace tendax {
@@ -201,20 +200,9 @@ Status Database::Checkpoint() {
         "checkpoint requires a quiescent database; use CheckpointNow() for "
         "a fuzzy checkpoint under load");
   }
-  if (wal_->segmented()) {
-    // With nobody active the fuzzy pipeline degenerates to the quiescent
-    // one — empty ATT, every flushable page flushed — while keeping the
-    // log in segment form.
-    return CheckpointNow();
-  }
-  // Legacy single-file path: flush everything, restart the log.
-  TENDAX_RETURN_IF_ERROR(buffer_pool_->FlushAll());
-  TENDAX_RETURN_IF_ERROR(wal_->Reset());
-  LogRecord marker;
-  marker.type = LogType::kCheckpoint;
-  auto lsn = wal_->Append(&marker);
-  if (!lsn.ok()) return lsn.status();
-  return wal_->Flush(*lsn);
+  // With nobody active the fuzzy pipeline degenerates to the quiescent
+  // one: empty ATT, every flushable page flushed.
+  return CheckpointNow();
 }
 
 Status Database::CheckpointNow() { return checkpointer_->CheckpointNow(); }

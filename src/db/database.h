@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/segmented_log.h"
 #include "storage/wal.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
@@ -24,7 +25,8 @@ namespace tendax {
 
 /// Configuration for opening a database.
 struct DatabaseOptions {
-  /// Path prefix for the data file (`<path>`) and log (`<path>.wal`).
+  /// Path prefix for the data file (`<path>`) and log segments
+  /// (`<path>.wal.NNNNNN`).
   /// Empty means fully in-memory.
   std::string path;
   /// Buffer pool capacity in pages.
@@ -46,10 +48,8 @@ struct DatabaseOptions {
   /// Test hooks: pre-built storage to share across a simulated crash.
   std::shared_ptr<DiskManager> disk;
   std::shared_ptr<LogStorage> log_storage;
-  /// Segmented WAL: rotate to a new segment once the current one exceeds
-  /// this many bytes. Only meaningful over a segmented LogStorage —
-  /// file-backed databases use one by default; in-memory/injected storages
-  /// opt in by passing a SegmentedLogStorage as `log_storage`.
+  /// Rotate the WAL to a new segment once the current one exceeds this many
+  /// bytes (0 = rotate only at checkpoints).
   uint64_t wal_segment_bytes = 1 << 20;
   /// Background fuzzy checkpointer cadence (0 = no timer trigger). With
   /// either trigger set, Open starts a checkpointer thread after recovery.
@@ -97,9 +97,8 @@ class Database : public ChangeApplier {
   /// (message prefix "checkpoint requires a quiescent database") and
   /// changes nothing — callers that cannot guarantee quiescence should use
   /// `CheckpointNow()` instead, which is the whole point of the fuzzy
-  /// pipeline. Over a segmented log this is a thin wrapper around
-  /// `CheckpointNow()`; over a single-file log it keeps the legacy
-  /// flush-everything-then-truncate behavior.
+  /// pipeline. Once quiescent it runs that same pipeline, so the log
+  /// shrinks by whole segments one checkpoint later.
   Status Checkpoint();
 
   /// Non-quiescent (fuzzy) checkpoint: safe to call with any number of

@@ -32,8 +32,11 @@ Result<RecordId> HeapTable::InsertBytes(Transaction* txn,
     if (!page.ok()) return page.status();
     bool lost_race = false;
     {
+      // Latch first, so the guard unpins while the latch is still held:
+      // the unpin stamps a newly dirty page's recLSN from its LSN, which
+      // the next writer's set_lsn must not race.
+      MutexLock latch((*page)->latch());
       PageGuard guard(pool_, *page);
-      MutexLock latch(guard->latch());
       SlottedPage sp(guard.get());
       auto slot = sp.Insert(bytes);
       if (slot.status().IsOutOfRange()) {
@@ -89,9 +92,9 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
 
   auto page = pool_->FetchPage(rid.page);
   if (!page.ok()) return page.status();
-  PageGuard guard(pool_, *page);
   {
-    MutexLock latch(guard->latch());
+    MutexLock latch((*page)->latch());  // before the guard, as in InsertBytes
+    PageGuard guard(pool_, *page);
     SlottedPage sp(guard.get());
     Status st = sp.Update(rid.slot, after);
     if (st.ok()) {
@@ -112,7 +115,6 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
     if (*del_lsn != kInvalidLsn) guard->set_lsn(*del_lsn);
     guard.MarkDirty();
   }
-  guard.Release();
   return InsertBytes(txn, after);
 }
 

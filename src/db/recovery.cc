@@ -56,8 +56,7 @@ Status RecoveryManager::Run(const std::vector<LogRecord>& log) {
   }
   for (size_t i = start; i < log.size(); ++i) {
     const LogRecord& rec = log[i];
-    if (rec.type == LogType::kCheckpoint ||
-        rec.type == LogType::kCheckpointBegin ||
+    if (rec.type == LogType::kCheckpointBegin ||
         rec.type == LogType::kCheckpointEnd) {
       continue;  // checkpoint markers are not transactional
     }

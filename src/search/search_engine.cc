@@ -75,28 +75,12 @@ Status SearchEngine::Init() {
 
 Status SearchEngine::IndexDocument(DocumentId doc) {
   // One MVCC snapshot gives version, text and name from the same committed
-  // state — the three reads can never straddle a concurrent edit (the
-  // legacy path below performed them independently and could index text of
-  // version N+1 under version N).
-  Version version;
-  std::string content;
-  std::string name;
-  if (text_->snapshots_enabled()) {
-    auto snap = text_->AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    version = (*snap)->version();
-    content = (*snap)->Text();
-    name = (*snap)->info().name;
-  } else {
-    auto v = text_->CurrentVersion(doc);
-    if (!v.ok()) return v.status();
-    version = *v;
-    auto c = text_->Text(doc);
-    if (!c.ok()) return c.status();
-    content = std::move(*c);
-    auto info = text_->GetDocumentInfo(doc);
-    name = info.ok() ? info->name : "";
-  }
+  // state, so the three can never straddle a concurrent edit.
+  auto snap = text_->AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  const Version version = (*snap)->version();
+  const std::string content = (*snap)->Text();
+  const std::string& name = (*snap)->info().name;
   {
     MutexLock lock(mu_);
     auto it = indexed_version_.find(doc.value);

@@ -56,20 +56,17 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
 }  // namespace
 
 SegmentedLogStorage::SegmentedLogStorage(bool file_backed, std::string prefix)
-    : file_backed_(file_backed), prefix_(std::move(prefix)) {}
+    : file_backed_(file_backed), prefix_(std::move(prefix)) {
+  if (!file_backed_) {
+    MutexLock lock(mu_);
+    sizes_[current_] = 0;
+    mem_[current_] = "";
+  }
+}
 
 SegmentedLogStorage::~SegmentedLogStorage() {
   MutexLock lock(mu_);
   if (fd_ >= 0) ::close(fd_);
-}
-
-std::shared_ptr<SegmentedLogStorage> SegmentedLogStorage::InMemory() {
-  auto log = std::shared_ptr<SegmentedLogStorage>(
-      new SegmentedLogStorage(/*file_backed=*/false, ""));
-  MutexLock lock(log->mu_);
-  log->sizes_[1] = 0;
-  log->mem_[1] = "";
-  return log;
 }
 
 Result<std::shared_ptr<SegmentedLogStorage>> SegmentedLogStorage::OpenFiles(

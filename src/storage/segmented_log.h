@@ -19,10 +19,10 @@ namespace tendax {
 /// ids are monotonic and never reused, even across Truncate().
 ///
 /// Two modes share the class:
-///  - in-memory (`InMemory()`): segments live in a map. Like
-///    `InMemoryLogStorage`, the object survives a simulated crash (the test
-///    keeps the shared_ptr and reopens a new Wal over it), which is what
-///    the checkpoint crash sweeps exercise.
+///  - in-memory (`InMemoryLogStorage` below): segments live in a map. The
+///    object survives a simulated crash (the test keeps the shared_ptr and
+///    reopens a new Wal over it), which is what the recovery and
+///    checkpoint crash sweeps exercise.
 ///  - file-backed (`OpenFiles(prefix)`): one file per segment next to the
 ///    database file. Open scans the directory for surviving segments; a
 ///    gap in the id sequence (possible only if a past crash interrupted an
@@ -30,9 +30,6 @@ namespace tendax {
 ///    is the only part recovery could trust anyway.
 class SegmentedLogStorage : public LogStorage {
  public:
-  /// A fresh in-memory segmented log with one empty segment.
-  static std::shared_ptr<SegmentedLogStorage> InMemory();
-
   /// Opens (or creates) a file-backed segmented log. `prefix` is the path
   /// stem: segments are `<prefix>.NNNNNN`.
   static Result<std::shared_ptr<SegmentedLogStorage>> OpenFiles(
@@ -46,7 +43,6 @@ class SegmentedLogStorage : public LogStorage {
   Status ReadAll(std::string* out) override;
   Status Truncate() override;
 
-  bool segmented() const override { return true; }
   uint64_t current_segment() const override;
   std::vector<uint64_t> SegmentIds() const override;
   uint64_t SegmentBytes(uint64_t id) const override;
@@ -57,13 +53,16 @@ class SegmentedLogStorage : public LogStorage {
   /// Total bytes across all live segments.
   uint64_t TotalBytes() const;
 
-  /// Chops the *current* segment to its first `n` bytes — the segmented
-  /// analogue of InMemoryLogStorage::CorruptTail (in-memory mode only).
+  /// Chops the *current* segment to its first `n` bytes, simulating a torn
+  /// tail write (in-memory mode only).
   void CorruptTail(size_t n);
 
- private:
+ protected:
+  /// In-memory mode starts with one empty segment; file mode is filled in
+  /// by OpenFiles.
   SegmentedLogStorage(bool file_backed, std::string prefix);
 
+ private:
   std::string SegmentPath(uint64_t id) const;
   Status OpenCurrentFileLocked() TENDAX_REQUIRES(mu_);
   Status CloseCurrentFileLocked(bool sync) TENDAX_REQUIRES(mu_);
@@ -78,6 +77,13 @@ class SegmentedLogStorage : public LogStorage {
   std::map<uint64_t, std::string> mem_ TENDAX_GUARDED_BY(mu_);
   uint64_t current_ TENDAX_GUARDED_BY(mu_) = 1;
   int fd_ TENDAX_GUARDED_BY(mu_) = -1;  // file mode: current segment fd
+};
+
+/// The in-memory mode: the log of a database opened without a path, and
+/// the storage tests keep across a simulated crash.
+class InMemoryLogStorage : public SegmentedLogStorage {
+ public:
+  InMemoryLogStorage() : SegmentedLogStorage(/*file_backed=*/false, "") {}
 };
 
 }  // namespace tendax

@@ -1,11 +1,5 @@
 #include "storage/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "util/coding.h"
 
 namespace tendax {
@@ -19,6 +13,30 @@ uint32_t Fnv1a(const char* data, size_t n) {
     h *= 16777619u;
   }
   return h;
+}
+
+bool IsLogType(uint8_t b) {
+  switch (static_cast<LogType>(b)) {
+    case LogType::kBegin:
+    case LogType::kCommit:
+    case LogType::kAbort:
+    case LogType::kUpdate:
+    case LogType::kCompensation:
+    case LogType::kCheckpointBegin:
+    case LogType::kCheckpointEnd:
+      return true;
+  }
+  return false;
+}
+
+bool IsUpdateOp(uint8_t b) {
+  switch (static_cast<UpdateOp>(b)) {
+    case UpdateOp::kInsert:
+    case UpdateOp::kUpdate:
+    case UpdateOp::kDelete:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -57,7 +75,11 @@ bool LogRecord::DecodeFrom(Slice input, LogRecord* out) {
   if (!GetVarint64(&input, &lsn)) return false;
   if (!GetVarint64(&input, &prev)) return false;
   if (!GetVarint64(&input, &txn)) return false;
-  if (input.empty()) return false;
+  // An unknown type or op byte is trash, rejected exactly like a torn
+  // record: the frame passed its checksum, but nothing can interpret it.
+  if (input.empty() || !IsLogType(static_cast<uint8_t>(input[0]))) {
+    return false;
+  }
   auto type = static_cast<LogType>(input[0]);
   input.remove_prefix(1);
   out->lsn = lsn;
@@ -65,7 +87,9 @@ bool LogRecord::DecodeFrom(Slice input, LogRecord* out) {
   out->txn = TxnId(txn);
   out->type = type;
   if (type == LogType::kUpdate || type == LogType::kCompensation) {
-    if (input.empty()) return false;
+    if (input.empty() || !IsUpdateOp(static_cast<uint8_t>(input[0]))) {
+      return false;
+    }
     out->op = static_cast<UpdateOp>(input[0]);
     input.remove_prefix(1);
     Slice before, after;
@@ -107,93 +131,6 @@ bool LogRecord::DecodeFrom(Slice input, LogRecord* out) {
   return true;
 }
 
-Status InMemoryLogStorage::Append(const Slice& data) {
-  MutexLock lock(mu_);
-  buffer_.append(data.data(), data.size());
-  return Status::OK();
-}
-
-Status InMemoryLogStorage::ReadAll(std::string* out) {
-  MutexLock lock(mu_);
-  *out = buffer_;
-  return Status::OK();
-}
-
-Status InMemoryLogStorage::Truncate() {
-  MutexLock lock(mu_);
-  buffer_.clear();
-  return Status::OK();
-}
-
-void InMemoryLogStorage::CorruptTail(size_t n) {
-  MutexLock lock(mu_);
-  if (n < buffer_.size()) buffer_.resize(n);
-}
-
-Result<std::unique_ptr<FileLogStorage>> FileLogStorage::Open(
-    const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IOError("open " + path + ": " + strerror(errno));
-  }
-  return std::unique_ptr<FileLogStorage>(new FileLogStorage(fd, path));
-}
-
-FileLogStorage::~FileLogStorage() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status FileLogStorage::Append(const Slice& data) {
-  const char* p = data.data();
-  size_t left = data.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("write log: " + std::string(strerror(errno)));
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FileLogStorage::Sync() {
-  if (::fsync(fd_) != 0) {
-    return Status::IOError("fsync log: " + std::string(strerror(errno)));
-  }
-  return Status::OK();
-}
-
-Status FileLogStorage::ReadAll(std::string* out) {
-  out->clear();
-  off_t size = ::lseek(fd_, 0, SEEK_END);
-  if (size < 0) {
-    return Status::IOError("lseek log: " + std::string(strerror(errno)));
-  }
-  out->resize(static_cast<size_t>(size));
-  size_t got = 0;
-  while (got < out->size()) {
-    ssize_t n = ::pread(fd_, out->data() + got, out->size() - got,
-                        static_cast<off_t>(got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pread log: " + std::string(strerror(errno)));
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  out->resize(got);
-  return Status::OK();
-}
-
-Status FileLogStorage::Truncate() {
-  if (::ftruncate(fd_, 0) != 0) {
-    return Status::IOError("ftruncate log: " + std::string(strerror(errno)));
-  }
-  return Status::OK();
-}
-
 Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
          MetricsRegistry* metrics, uint64_t segment_bytes)
     : storage_(std::move(storage)),
@@ -214,15 +151,14 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
     m_commit_flush_micros_ = metrics->histogram("wal.commit_flush_micros");
     m_batch_size_ = metrics->histogram("wal.batch_size");
   }
-  // Continue LSN numbering after any records already in the log.
-  Lsn durable = 0;
-  if (storage_->segmented()) {
-    // Per-segment read rebuilds both the LSN cursor and the segment spans
-    // the truncation logic needs. Only the last segment may carry a torn
-    // tail (appends never touch sealed segments), so a decode that stops
-    // early in an earlier segment marks everything after it untrustworthy.
+  // Continue LSN numbering after any records already in the log. The
+  // per-segment read rebuilds both the LSN cursor and the segment spans the
+  // truncation logic needs. Only the last segment may carry a torn tail
+  // (appends never touch sealed segments), so a decode that stops early in
+  // an earlier segment marks everything after it untrustworthy.
+  Lsn next = 1;
+  {
     MutexLock lock(mu_);
-    Lsn next = 1;
     bool trusted = true;
     for (uint64_t id : storage_->SegmentIds()) {
       SegmentSpan span;
@@ -258,21 +194,11 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
     current.last = kInvalidLsn;
     next_lsn_ = next;
     flushed_lsn_ = next - 1;
-    durable = flushed_lsn_;
     MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
-  } else {
-    std::string buffer;
-    if (storage_->ReadAll(&buffer).ok()) {
-      std::vector<LogRecord> records;
-      MutexLock lock(mu_);
-      next_lsn_ = DecodeLogBuffer(buffer, &records);
-      flushed_lsn_ = next_lsn_ - 1;
-      durable = flushed_lsn_;
-    }
   }
   {
     MutexLock lock(gc_mu_);
-    gc_durable_ = durable;
+    gc_durable_ = next - 1;
   }
   if (gc_options_.mode == CommitFlushMode::kFlusherThread) {
     flusher_ = std::thread(&Wal::FlusherLoop, this);
@@ -334,7 +260,7 @@ Status Wal::FlushInternal(Lsn up_to, bool force_sync) {
     ++syncs_issued_;
     MetricAdd(m_syncs_);
     if (st.ok() && target > flushed_lsn_) flushed_lsn_ = target;
-    if (st.ok() && segment_bytes_ > 0 && storage_->segmented() &&
+    if (st.ok() && segment_bytes_ > 0 &&
         storage_->SegmentBytes(storage_->current_segment()) >=
             segment_bytes_) {
       // Size-based rotation. Safe here: we still own the flight, so no
@@ -582,17 +508,14 @@ Status Wal::Reset() {
   pending_.clear();
   TENDAX_RETURN_IF_ERROR(storage_->Truncate());
   flushed_lsn_ = next_lsn_ - 1;
-  if (storage_->segmented()) {
-    segment_spans_.clear();
-    segment_spans_[storage_->current_segment()] =
-        SegmentSpan{next_lsn_, kInvalidLsn};
-    MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
-  }
+  segment_spans_.clear();
+  segment_spans_[storage_->current_segment()] =
+      SegmentSpan{next_lsn_, kInvalidLsn};
+  MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
   return Status::OK();
 }
 
 size_t Wal::SegmentCount() const {
-  if (!storage_->segmented()) return 1;
   MutexLock lock(mu_);
   return segment_spans_.size();
 }
@@ -613,7 +536,6 @@ Status Wal::RotateLocked(Lsn last_lsn) {
 }
 
 Status Wal::RotateSegmentNow() {
-  if (!storage_->segmented()) return Status::OK();
   TENDAX_RETURN_IF_ERROR(FlushAll());
   MutexLock lock(mu_);
   // Rotation must not interleave with a flush's storage I/O: the flush's
@@ -624,7 +546,7 @@ Status Wal::RotateSegmentNow() {
 }
 
 Result<uint64_t> Wal::TruncateSegmentsBelow(Lsn bound) {
-  if (!storage_->segmented() || bound <= 1) return uint64_t{0};
+  if (bound <= 1) return uint64_t{0};
   MutexLock lock(mu_);
   uint64_t freed = 0;
   // Oldest-first: a crash mid-sweep then leaves a contiguous suffix of the

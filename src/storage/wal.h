@@ -31,7 +31,7 @@ enum class LogType : uint8_t {
   kAbort = 3,
   kUpdate = 4,        // a logical record-level change (insert/update/delete)
   kCompensation = 5,  // CLR written while undoing an update
-  kCheckpoint = 6,    // quiescent checkpoint marker (legacy single-file path)
+  // 6 was a retired quiescent-checkpoint marker; it now decodes as trash.
   kCheckpointBegin = 7,  // fuzzy checkpoint opened (ARIES begin_chkpt)
   kCheckpointEnd = 8,    // fuzzy checkpoint closed; carries the ATT and DPT
 };
@@ -86,13 +86,19 @@ struct LogRecord {
 
   /// Serializes this record (without framing) into `dst`.
   void EncodeTo(std::string* dst) const;
-  /// Parses a record from `input`; returns false on malformed input.
+  /// Parses a record from `input`; returns false on malformed input,
+  /// including a type or update-op byte that names no enumerator.
   static bool DecodeFrom(Slice input, LogRecord* out);
 };
 
-/// Byte sink holding the serialized log. Implementations must make Append
-/// atomic with respect to concurrent calls from Wal (Wal serializes
-/// internally, so plain implementations suffice).
+/// Byte sink holding the serialized log as a sequence of numbered segments
+/// (`SegmentedLogStorage` is the implementation, in memory or on disk).
+/// Appends always go to the current (highest-numbered) segment; ReadAll
+/// concatenates segments in id order, so callers that do not care about
+/// segmentation see one contiguous byte stream. Segment ids are monotonic
+/// and never reused, which is what lets the Wal keep per-segment LSN spans.
+/// Implementations must make Append atomic with respect to concurrent calls
+/// from Wal (Wal serializes internally, so plain implementations suffice).
 class LogStorage {
  public:
   virtual ~LogStorage() = default;
@@ -100,83 +106,25 @@ class LogStorage {
   virtual Status Sync() = 0;
   /// Reads the entire log into `out`.
   virtual Status ReadAll(std::string* out) = 0;
-  /// Discards all content.
+  /// Discards all content; the log restarts in a fresh segment.
   virtual Status Truncate() = 0;
-
-  // --- segmentation (optional; single-file backends keep the defaults) ---
-  //
-  // A segmented backend stores the log as a sequence of numbered segments.
-  // Appends always go to the current (highest-numbered) segment; ReadAll
-  // concatenates segments in id order, so callers that do not care about
-  // segmentation see one contiguous byte stream. Segment ids are monotonic
-  // and never reused, which is what lets the Wal keep per-segment LSN spans.
-
-  /// True when this backend stores the log as numbered segments.
-  virtual bool segmented() const { return false; }
-  /// Id of the segment receiving appends (0 when not segmented).
-  virtual uint64_t current_segment() const { return 0; }
+  /// Every log storage is segmented; kept so decorators that forward it
+  /// still compile. Nothing branches on it.
+  virtual bool segmented() const { return true; }
+  /// Id of the segment receiving appends.
+  virtual uint64_t current_segment() const = 0;
   /// All live segment ids, ascending.
-  virtual std::vector<uint64_t> SegmentIds() const { return {}; }
+  virtual std::vector<uint64_t> SegmentIds() const = 0;
   /// Byte size of segment `id` (0 for unknown ids).
-  virtual uint64_t SegmentBytes(uint64_t id) const {
-    (void)id;
-    return 0;
-  }
+  virtual uint64_t SegmentBytes(uint64_t id) const = 0;
   /// Reads the raw bytes of one segment.
-  virtual Status ReadSegment(uint64_t id, std::string* out) {
-    (void)id;
-    (void)out;
-    return Status::Unimplemented("log storage is not segmented");
-  }
+  virtual Status ReadSegment(uint64_t id, std::string* out) = 0;
   /// Seals the current segment (durably) and opens a fresh one; the new
   /// segment's id is returned through `new_id` when non-null.
-  virtual Status RotateSegment(uint64_t* new_id) {
-    (void)new_id;
-    return Status::Unimplemented("log storage is not segmented");
-  }
+  virtual Status RotateSegment(uint64_t* new_id) = 0;
   /// Deletes one sealed segment; `bytes_freed` (when non-null) receives its
   /// size. Deleting the current segment is an error.
-  virtual Status DropSegment(uint64_t id, uint64_t* bytes_freed) {
-    (void)id;
-    (void)bytes_freed;
-    return Status::Unimplemented("log storage is not segmented");
-  }
-};
-
-/// In-memory log storage; survives "crashes" simulated by discarding the
-/// buffer pool, which is exactly what the recovery tests exercise.
-class InMemoryLogStorage : public LogStorage {
- public:
-  Status Append(const Slice& data) override;
-  Status Sync() override { return Status::OK(); }
-  Status ReadAll(std::string* out) override;
-  Status Truncate() override;
-
-  /// Chops the log to its first `n` bytes, simulating a torn tail write.
-  void CorruptTail(size_t n);
-
- private:
-  Mutex mu_{"log.mem", lockorder::kRankDisk};
-  std::string buffer_ TENDAX_GUARDED_BY(mu_);
-};
-
-/// Append-only file log storage.
-class FileLogStorage : public LogStorage {
- public:
-  static Result<std::unique_ptr<FileLogStorage>> Open(
-      const std::string& path);
-  ~FileLogStorage() override;
-
-  Status Append(const Slice& data) override;
-  Status Sync() override;
-  Status ReadAll(std::string* out) override;
-  Status Truncate() override;
-
- private:
-  explicit FileLogStorage(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  int fd_;
-  std::string path_;
+  virtual Status DropSegment(uint64_t id, uint64_t* bytes_freed) = 0;
 };
 
 /// How a committing transaction's "make my commit record durable" request
@@ -281,10 +229,9 @@ class Wal {
   /// same bytes. In kFlusherThread mode the Wal owns the flusher thread:
   /// started here, drained and joined by `Shutdown()`/the destructor.
   /// `metrics` may be null (standalone/unit use); it must outlive the Wal.
-  /// `segment_bytes` only matters over a segmented LogStorage: once the
-  /// current segment exceeds it, the next successful flush rotates to a new
-  /// segment (0 disables size-based rotation; checkpoints may still rotate
-  /// explicitly via RotateSegmentNow).
+  /// Once the current segment exceeds `segment_bytes`, the next successful
+  /// flush rotates to a new segment (0 disables size-based rotation;
+  /// checkpoints still rotate explicitly via RotateSegmentNow).
   explicit Wal(std::shared_ptr<LogStorage> storage,
                GroupCommitOptions group_commit = {},
                MetricsRegistry* metrics = nullptr,
@@ -318,8 +265,9 @@ class Wal {
   /// Stops silently at the first torn/corrupt record (crash tail).
   Status ReadAll(std::vector<LogRecord>* out) TENDAX_EXCLUDES(mu_);
 
-  /// Discards the entire log (only valid at a quiescent checkpoint) and
-  /// continues LSN numbering.
+  /// Discards the entire log and continues LSN numbering in a fresh
+  /// segment. Only valid once nothing in the log is needed any more — the
+  /// restart after recovery has flushed every replayed page.
   Status Reset() TENDAX_EXCLUDES(mu_);
 
   LogStorage* storage() { return storage_.get(); }
@@ -350,12 +298,9 @@ class Wal {
   static Lsn DecodeLogBuffer(const std::string& buffer,
                              std::vector<LogRecord>* out);
 
-  // --- segmentation (no-ops over a non-segmented LogStorage) ---
+  // --- segmentation ---
 
-  /// True when the underlying storage keeps the log in numbered segments.
-  bool segmented() const { return storage_->segmented(); }
-
-  /// Live segments (1 models "the single file" when not segmented).
+  /// Live segments.
   size_t SegmentCount() const TENDAX_EXCLUDES(mu_);
 
   /// Flushes everything buffered, seals the current segment and opens a
@@ -407,7 +352,7 @@ class Wal {
   CondVar flush_cv_;  // signaled when flush_in_flight_ drops
   uint64_t syncs_issued_ TENDAX_GUARDED_BY(mu_) = 0;
 
-  // --- segmentation state (meaningful only when storage_->segmented()) ---
+  // --- segmentation state ---
   const uint64_t segment_bytes_;
   // LSN span of every live segment, keyed by segment id.
   std::map<uint64_t, SegmentSpan> segment_spans_ TENDAX_GUARDED_BY(mu_);

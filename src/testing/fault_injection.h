@@ -42,11 +42,11 @@ class FaultInjectingDiskManager : public DiskManager {
 /// swallowed by a crashed plan; `Sync` failures model an fsync error at
 /// commit time. Plug it into `DatabaseOptions::log_storage`.
 ///
-/// Segmentation passes through: wrapping a `SegmentedLogStorage` yields a
-/// segmented decorated log, so checkpoint crash sweeps can fault rotation
-/// (kLogRotate) and segment deletion (kLogDropSegment) too. Tear faults on
-/// these ops degrade to plain failures — there is no partial rotate/unlink
-/// to model; the plan still enters the crashed state.
+/// Segment operations pass through the plan as well, so checkpoint crash
+/// sweeps can fault rotation (kLogRotate) and segment deletion
+/// (kLogDropSegment) too. Tear faults on these ops degrade to plain
+/// failures — there is no partial rotate/unlink to model; the plan still
+/// enters the crashed state.
 class FaultInjectingLogStorage : public LogStorage {
  public:
   FaultInjectingLogStorage(std::shared_ptr<LogStorage> inner,
@@ -58,7 +58,6 @@ class FaultInjectingLogStorage : public LogStorage {
   Status ReadAll(std::string* out) override;
   Status Truncate() override;
 
-  bool segmented() const override { return inner_->segmented(); }
   uint64_t current_segment() const override {
     return inner_->current_segment();
   }

@@ -83,13 +83,6 @@ CharInfo CharInfoFromRecord(const Record& rec) {
   return info;
 }
 
-Status PurgeFloorError(DocumentId doc, Version version, Version floor) {
-  return Status::FailedPrecondition(
-      "version " + std::to_string(version) + " predates the purge floor " +
-      std::to_string(floor) + " of document " + doc.ToString() +
-      ": its tombstones were physically purged");
-}
-
 }  // namespace
 
 TextStore::TextStore(Database* db)
@@ -290,7 +283,7 @@ bool TextStore::EvictDocument(DocumentId doc) {
   {
     MutexLock lock(handle->mu);
     handle->loaded = false;
-    handle->pending_snapshot = nullptr;
+    handle->pending_snapshots.clear();
     // Readers that already acquired the snapshot keep it alive by
     // refcount; this only drops the store's own reference.
     {
@@ -302,25 +295,6 @@ bool TextStore::EvictDocument(DocumentId doc) {
   }
   MetricAdd(m_evictions_);
   return true;
-}
-
-void TextStore::SetSnapshotsEnabled(bool on) {
-  bool was = snapshots_enabled_.exchange(on, std::memory_order_relaxed);
-  if (was == on) return;
-  // Drop published state across the toggle so a re-enable can never serve
-  // a snapshot that missed edits made while the path was disabled.
-  std::vector<std::shared_ptr<DocHandle>> all;
-  {
-    MutexLock lock(handles_mu_);
-    all.reserve(handles_.size());
-    for (auto& [id, handle] : handles_) all.push_back(handle);
-  }
-  for (auto& handle : all) {
-    MutexLock lock(handle->mu);
-    handle->pending_snapshot = nullptr;
-    MutexLock slot(handle->snapshot_mu);
-    handle->snapshot = nullptr;
-  }
 }
 
 void TextStore::RefreshMvccGauges() { tracker_->RefreshGauges(); }
@@ -338,20 +312,7 @@ SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
       std::move(info), handle->purge_floor, handle->chain.Freeze(), tracker_);
 }
 
-void TextStore::InstallSnapshot(DocHandle* handle, const SnapshotRef& snap) {
-  MutexLock lock(handle->mu);
-  {
-    MutexLock slot(handle->snapshot_mu);
-    if (handle->snapshot == nullptr ||
-        handle->snapshot->version() < snap->version()) {
-      handle->snapshot = snap;
-    }
-  }
-  if (handle->pending_snapshot == snap) handle->pending_snapshot = nullptr;
-}
-
 void TextStore::OnCommitted(const ChangeBatch& events) {
-  if (!snapshots_enabled_.load(std::memory_order_relaxed)) return;
   for (const ChangeEvent& ev : events) {
     if (!ev.doc.valid() || ev.version == 0) continue;
     std::shared_ptr<DocHandle> handle;
@@ -362,8 +323,20 @@ void TextStore::OnCommitted(const ChangeBatch& events) {
       handle = it->second;
     }
     MutexLock lock(handle->mu);
-    if (handle->pending_snapshot == nullptr ||
-        handle->pending_snapshot->version() != ev.version) {
+    // Take this commit's snapshot out of the pending list, and drop every
+    // older one with it: a commit at or below ev.version that has not
+    // published yet is superseded, and publishing it later would move the
+    // slot backwards.
+    SnapshotRef committed;
+    std::vector<SnapshotRef>& pending = handle->pending_snapshots;
+    for (const SnapshotRef& p : pending) {
+      if (p->version() == ev.version) committed = p;
+    }
+    std::erase_if(pending, [&](const SnapshotRef& p) {
+      return p->version() <= ev.version;
+    });
+    MutexLock slot(handle->snapshot_mu);
+    if (committed == nullptr) {
       // No matching pending edit: the commit went through a detached
       // handle object (eviction raced the edit). Drop whatever this —
       // the current — handle has cached so the next read or edit
@@ -372,28 +345,18 @@ void TextStore::OnCommitted(const ChangeBatch& events) {
       if (handle->loaded && handle->version < ev.version) {
         handle->loaded = false;
       }
-      MutexLock slot(handle->snapshot_mu);
       if (handle->snapshot != nullptr &&
           handle->snapshot->version() < ev.version) {
         handle->snapshot = nullptr;
       }
-      continue;
+    } else if (handle->snapshot == nullptr ||
+               handle->snapshot->version() < ev.version) {
+      handle->snapshot = std::move(committed);
     }
-    {
-      MutexLock slot(handle->snapshot_mu);
-      if (handle->snapshot == nullptr ||
-          handle->snapshot->version() < ev.version) {
-        handle->snapshot = handle->pending_snapshot;
-      }
-    }
-    handle->pending_snapshot = nullptr;
   }
 }
 
 Result<SnapshotRef> TextStore::AcquireSnapshot(DocumentId doc) {
-  if (!snapshots_enabled_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("mvcc snapshots are disabled");
-  }
   std::shared_ptr<DocHandle> handle = HandleSlot(doc);
   SnapshotRef snap;
   {
@@ -402,7 +365,7 @@ Result<SnapshotRef> TextStore::AcquireSnapshot(DocumentId doc) {
     MutexLock slot(handle->snapshot_mu);
     snap = handle->snapshot;
   }
-  if (snap == nullptr) {
+  while (snap == nullptr) {
     // Cold cache (first read after open / invalidation / eviction):
     // materialize under a shared document lock, once. The S lock is what
     // makes the rebuild read *committed* state: a writer applies its char
@@ -416,10 +379,20 @@ Result<SnapshotRef> TextStore::AcquireSnapshot(DocumentId doc) {
           TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
               txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
               LockMode::kS));
-          MutexLock lock(handle->mu);
-          if (!handle->loaded) {
-            TENDAX_RETURN_IF_ERROR(LoadHandle(handle.get(), doc));
+          // Only the registered handle may be filled: commit listeners
+          // publish into it alone, so a version seen through an evicted
+          // handle could later be undercut there. Retry on the current one.
+          std::shared_ptr<DocHandle> current = HandleSlot(doc);
+          if (current != handle) {
+            handle = std::move(current);
+            return Status::OK();
           }
+          MutexLock lock(handle->mu);
+          // A loaded handle is no proof of committed state either:
+          // `Handle()` loads without the document lock, and a commit
+          // through an evicted handle leaves this one behind. Re-pin it to
+          // the committed header.
+          TENDAX_RETURN_IF_ERROR(EnsureFreshBase(handle.get(), doc));
           MutexLock slot(handle->snapshot_mu);
           if (handle->snapshot == nullptr) {
             handle->snapshot = PrepareLockedSnapshot(handle.get());
@@ -498,9 +471,7 @@ Result<EditResult> TextStore::RunEdit(UserId user, DocumentId doc,
 
   EditResult result;
   bool cache_mutated = false;
-  SnapshotRef prepared;
   Status st = db_->txns()->RunInTxn(user, [&](Transaction* txn) -> Status {
-    prepared = nullptr;
     TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
         txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
         LockMode::kX));
@@ -532,21 +503,16 @@ Result<EditResult> TextStore::RunEdit(UserId user, DocumentId doc,
 
     // Prepare — but do not publish — the post-edit snapshot. The commit
     // listener installs it the instant the transaction durably commits;
-    // an abort discards it with the invalidated handle.
-    if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-      prepared = PrepareLockedSnapshot(h);
-      h->pending_snapshot = prepared;
-    }
+    // an abort discards it with the invalidated handle. There is no
+    // install after the commit returns: the listener is the one publisher,
+    // so a late install can never refill a slot that eviction emptied.
+    h->pending_snapshots.push_back(PrepareLockedSnapshot(h));
     return Status::OK();
   });
   if (!st.ok()) {
     if (cache_mutated) InvalidateHandle(doc);
     return st;
   }
-  // Belt and braces: the commit listener already published `prepared` in
-  // the common case; this covers commits whose event was not matched (the
-  // store is monotone, so a double install is a no-op).
-  if (prepared != nullptr) InstallSnapshot(h, prepared);
   return result;
 }
 
@@ -650,66 +616,25 @@ Result<EditResult> TextStore::InsertText(UserId user, DocumentId doc,
 
 Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
                                                size_t pos, size_t len) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto acquired = AcquireSnapshot(doc);
-    if (!acquired.ok()) return acquired.status();
-    SnapshotRef snap = *acquired;
-    std::vector<PasteChar> out;
-    // The snapshot is immutable, so no locks are needed for stability; the
-    // snapshot-read transaction keeps the op inside the txn framework
-    // (accounting, uniform call shape) without ever blocking on a writer.
-    Status st = db_->txns()->RunSnapshotRead(
-        user, [&](Transaction*) -> Status {
-          if (pos + len > snap->length()) {
-            return Status::OutOfRange("copy range beyond document length");
-          }
-          auto range = snap->LiveRange(pos, len);
-          if (!range.ok()) return range.status();
-          out.reserve(range->size());
-          for (const SnapChar& c : *range) {
-            PasteChar pc;
-            pc.cp = c.cp;
-            // Provenance points at the *original* character: if this char
-            // was itself pasted, keep its source; otherwise this char is
-            // the source.
-            if (c.src_doc != 0) {
-              pc.src_doc = DocumentId(c.src_doc);
-              pc.src_char = CharId(c.src_char);
-            } else {
-              pc.src_doc = doc;
-              pc.src_char = CharId(c.id);
-            }
-            pc.src_external = c.src_external;
-            out.push_back(std::move(pc));
-          }
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    return out;
-  }
-
-  // Legacy (snapshots disabled): shared lock + handle mutex.
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
-
+  auto acquired = AcquireSnapshot(doc);
+  if (!acquired.ok()) return acquired.status();
+  SnapshotRef snap = *acquired;
   std::vector<PasteChar> out;
-  Status st = db_->txns()->RunInTxn(user, [&](Transaction* txn) -> Status {
-    // Shared lock: copying reads a stable snapshot of the source range.
-    TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
-        txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
-        LockMode::kS));
-    MutexLock lock(h->mu);
-    if (!h->loaded) TENDAX_RETURN_IF_ERROR(LoadHandle(h, doc));
-    if (pos + len > h->chain.live_size()) {
+  // The snapshot is immutable, so no locks are needed for stability; the
+  // snapshot-read transaction keeps the op inside the txn framework
+  // (accounting, uniform call shape) without ever blocking on a writer.
+  Status st = db_->txns()->RunSnapshotRead(user, [&](Transaction*) -> Status {
+    if (pos + len > snap->length()) {
       return Status::OutOfRange("copy range beyond document length");
     }
-    out.clear();
-    out.reserve(len);
-    for (size_t i = pos; i < pos + len; ++i) {
-      const SnapChar& c = h->chain.LiveAt(i);
+    auto range = snap->LiveRange(pos, len);
+    if (!range.ok()) return range.status();
+    out.reserve(range->size());
+    for (const SnapChar& c : *range) {
       PasteChar pc;
       pc.cp = c.cp;
+      // Provenance points at the *original* character: if this char was
+      // itself pasted, keep its source; otherwise this char is the source.
       if (c.src_doc != 0) {
         pc.src_doc = DocumentId(c.src_doc);
         pc.src_char = CharId(c.src_char);
@@ -802,84 +727,35 @@ Result<EditResult> TextStore::ResurrectChars(UserId user, DocumentId doc,
 }
 
 Result<std::string> TextStore::Text(DocumentId doc) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->Text();
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  MutexLock lock((*handle)->mu);
-  return (*handle)->chain.Text();
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->Text();
 }
 
 Result<std::string> TextStore::TextRange(DocumentId doc, size_t pos,
                                          size_t len) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->TextRange(pos, len);
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  MutexLock lock((*handle)->mu);
-  if (pos + len > (*handle)->chain.live_size()) {
-    return Status::OutOfRange("text range beyond document length");
-  }
-  return (*handle)->chain.TextRange(pos, len);
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->TextRange(pos, len);
 }
 
 Result<std::string> TextStore::TextAtVersion(DocumentId doc,
                                              Version version) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->TextAtVersion(version);
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
-  MutexLock lock(h->mu);
-  if (version < h->purge_floor) {
-    return PurgeFloorError(doc, version, h->purge_floor);
-  }
-  std::string out;
-  uint64_t current = h->head;
-  while (current != 0) {
-    auto rec = ReadCharRecord(h, current);
-    if (!rec.ok()) return rec.status();
-    Version ins = rec->GetUint(kCcInsVer);
-    Version del = rec->GetUint(kCcDelVer);
-    if (ins <= version && (del == 0 || del > version)) {
-      AppendUtf8(&out, static_cast<uint32_t>(rec->GetUint(kCcCp)));
-    }
-    current = rec->GetUint(kCcNext);
-  }
-  return out;
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->TextAtVersion(version);
 }
 
 Result<uint64_t> TextStore::Length(DocumentId doc) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->length();
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  MutexLock lock((*handle)->mu);
-  return static_cast<uint64_t>((*handle)->chain.live_size());
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->length();
 }
 
 Result<Version> TextStore::CurrentVersion(DocumentId doc) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->version();
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  MutexLock lock((*handle)->mu);
-  return (*handle)->version;
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->version();
 }
 
 Result<CharInfo> TextStore::CharAt(DocumentId doc, size_t pos) {
@@ -1022,24 +898,9 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
 }
 
 Result<DocumentInfo> TextStore::GetDocumentInfo(DocumentId doc) {
-  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto snap = AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    return (*snap)->info();
-  }
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
-  MutexLock lock(h->mu);
-  DocumentInfo info;
-  info.id = h->id;
-  info.name = h->name;
-  info.creator = h->creator;
-  info.created = h->created;
-  info.state = h->state;
-  info.version = h->version;
-  info.length = h->chain.live_size();
-  return info;
+  auto snap = AcquireSnapshot(doc);
+  if (!snap.ok()) return snap.status();
+  return (*snap)->info();
 }
 
 Result<DocumentId> TextStore::FindDocumentByName(const std::string& name) {

@@ -96,8 +96,7 @@ class TextStore {
                                 const std::string& external_source = "");
 
   /// Captures [pos, pos+len) with provenance for a later Paste. Reads a
-  /// published snapshot inside a snapshot-read transaction (no locks); with
-  /// snapshots disabled it falls back to a shared document lock.
+  /// published snapshot inside a snapshot-read transaction (no locks).
   Result<std::vector<PasteChar>> Copy(UserId user, DocumentId doc, size_t pos,
                                       size_t len);
 
@@ -120,13 +119,12 @@ class TextStore {
   Result<EditResult> ResurrectChars(UserId user, DocumentId doc,
                                     const std::vector<CharId>& ids);
 
-  // --- reads (MVCC snapshot path when enabled) ---
+  // --- reads (MVCC snapshot path) ---
 
   /// The latest published snapshot of `doc`: an immutable view of the last
   /// committed version. The fast path is one atomic shared_ptr load — no
   /// LockManager acquisition, no handle mutex; only a cold cache (first
   /// read after open/eviction) materializes under the handle mutex.
-  /// Fails kFailedPrecondition when snapshots are disabled.
   Result<SnapshotRef> AcquireSnapshot(DocumentId doc)
       TENDAX_EXCLUDES(handles_mu_);
 
@@ -167,15 +165,6 @@ class TextStore {
   /// Readers still holding a `SnapshotRef` keep it alive by refcount; the
   /// next read reloads from storage. Returns false if nothing was cached.
   bool EvictDocument(DocumentId doc) TENDAX_EXCLUDES(handles_mu_);
-
-  /// Toggles the MVCC read path (default on). Disabling routes every read
-  /// back through the legacy handle-mutex path and Copy back to a shared
-  /// document lock — the ablation baseline for bench_mvcc. Toggling clears
-  /// published snapshots so a re-enable never serves stale state.
-  void SetSnapshotsEnabled(bool on) TENDAX_EXCLUDES(handles_mu_);
-  bool snapshots_enabled() const {
-    return snapshots_enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Recomputes mvcc.live_snapshots / mvcc.oldest_snapshot_age_micros;
   /// the stats scrape calls this so kStats folds the gauges in.
@@ -218,16 +207,20 @@ class TextStore {
     // materialization. Not std::atomic<shared_ptr>: libstdc++ implements
     // that with an untagged lock-bit protocol TSAN cannot model, and the
     // race checks in `ctest -L mvcc` under -fsanitize=thread are part of
-    // this subsystem's contract. Stores (commit publication, cold
-    // materialization, eviction) are version-monotone — an
+    // this subsystem's contract. Installs are version-monotone — an
     // early-lock-released commit that finishes its flush late never
-    // overwrites a newer snapshot.
+    // overwrites a newer snapshot. Eviction and unmatched commits empty
+    // the slot; it is refilled only from committed state (the newest
+    // pending snapshot, or a cold rebuild under the S lock), never from
+    // an older prepared one.
     Mutex snapshot_mu{"textstore.snapshot", lockorder::kRankLeaf};
     SnapshotRef snapshot TENDAX_GUARDED_BY(snapshot_mu);
-    // Snapshot prepared by an in-flight edit (under `mu`, pre-commit);
-    // moved into `snapshot` by the commit listener / post-commit install,
-    // discarded on abort via handle invalidation.
-    SnapshotRef pending_snapshot TENDAX_GUARDED_BY(mu);
+    // Snapshots prepared by edits (under `mu`, pre-commit) whose commit
+    // listener has not run yet, oldest first — more than one when a
+    // commit's locks drop before its listener runs. The listener moves its
+    // own into `snapshot` and discards every older one; an abort discards
+    // them with the invalidated handle.
+    std::vector<SnapshotRef> pending_snapshots TENDAX_GUARDED_BY(mu);
   };
 
   using EditBody =
@@ -250,7 +243,7 @@ class TextStore {
       TENDAX_REQUIRES(handle->mu);
   /// Runs `body` inside a transaction holding the document's X lock, with
   /// the handle's mutex held; bumps the document version and emits `event`.
-  /// After a successful commit the prepared snapshot is published.
+  /// The commit listener publishes the prepared snapshot.
   Result<EditResult> RunEdit(UserId user, DocumentId doc, ChangeKind kind,
                              const EditBody& body);
 
@@ -258,9 +251,6 @@ class TextStore {
   /// (shares chain segments copy-on-write; cheap).
   SnapshotRef PrepareLockedSnapshot(DocHandle* handle)
       TENDAX_REQUIRES(handle->mu);
-  /// Version-monotone store into the publication slot.
-  void InstallSnapshot(DocHandle* handle, const SnapshotRef& snap)
-      TENDAX_EXCLUDES(handle->mu);
   /// Commit listener: publishes the pending snapshot of every document a
   /// just-committed transaction edited (runs before later-registered
   /// listeners such as the search index, which therefore see fresh
@@ -286,7 +276,6 @@ class TextStore {
   BPlusTree* char_index_ = nullptr;  // char_id -> rid
   BPlusTree* doc_index_ = nullptr;   // doc_id -> rid
 
-  std::atomic<bool> snapshots_enabled_{true};
   std::shared_ptr<SnapshotTracker> tracker_;
   Counter* m_evictions_ = nullptr;
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -56,8 +57,7 @@ Schema TestSchema() {
 // ---------- SegmentedLogStorage ----------
 
 TEST(SegmentedLogTest, AppendRotateDropRoundTrip) {
-  auto log = SegmentedLogStorage::InMemory();
-  EXPECT_TRUE(log->segmented());
+  auto log = std::make_shared<InMemoryLogStorage>();
   EXPECT_EQ(log->current_segment(), 1u);
   ASSERT_TRUE(log->Append(Slice("aaaa")).ok());
 
@@ -84,7 +84,7 @@ TEST(SegmentedLogTest, AppendRotateDropRoundTrip) {
 }
 
 TEST(SegmentedLogTest, DropRefusesCurrentSegment) {
-  auto log = SegmentedLogStorage::InMemory();
+  auto log = std::make_shared<InMemoryLogStorage>();
   ASSERT_TRUE(log->Append(Slice("x")).ok());
   uint64_t freed = 0;
   EXPECT_FALSE(log->DropSegment(log->current_segment(), &freed).ok());
@@ -155,7 +155,7 @@ LogRecord UpdateRecord(uint64_t txn, const std::string& payload) {
 }
 
 TEST(WalSegmentationTest, SizeBasedRotationKeepsAllRecordsReadable) {
-  auto storage = SegmentedLogStorage::InMemory();
+  auto storage = std::make_shared<InMemoryLogStorage>();
   Wal wal(storage, GroupCommitOptions{}, nullptr, /*segment_bytes=*/256);
   for (int i = 0; i < 40; ++i) {
     LogRecord rec = UpdateRecord(1, std::string(32, 'a' + i % 26));
@@ -173,7 +173,7 @@ TEST(WalSegmentationTest, SizeBasedRotationKeepsAllRecordsReadable) {
 }
 
 TEST(WalSegmentationTest, TruncateDropsOnlyWholeSegmentsBelowBound) {
-  auto storage = SegmentedLogStorage::InMemory();
+  auto storage = std::make_shared<InMemoryLogStorage>();
   Wal wal(storage, GroupCommitOptions{}, nullptr, /*segment_bytes=*/0);
   // Three segments of 5 records each: [1..5][6..10][11..] (last current).
   for (int seg = 0; seg < 3; ++seg) {
@@ -209,7 +209,7 @@ TEST(WalSegmentationTest, TruncateDropsOnlyWholeSegmentsBelowBound) {
 }
 
 TEST(WalSegmentationTest, ReopenToleratesTornTailInCurrentSegmentOnly) {
-  auto storage = SegmentedLogStorage::InMemory();
+  auto storage = std::make_shared<InMemoryLogStorage>();
   {
     Wal wal(storage, GroupCommitOptions{}, nullptr, 0);
     for (int i = 0; i < 4; ++i) {
@@ -244,7 +244,7 @@ class CheckpointDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
     disk_ = std::make_shared<InMemoryDiskManager>();
-    log_ = SegmentedLogStorage::InMemory();
+    log_ = std::make_shared<InMemoryLogStorage>();
     OpenDb();
   }
 
@@ -394,6 +394,57 @@ TEST_F(CheckpointDbTest, WalStaysBoundedAcrossTruncationCycles) {
   EXPECT_GT(snap.CounterValue("wal.rotations"), 0u);
 }
 
+// An in-memory server's background checkpointer truncates its log just as
+// a file-backed server's does: across many checkpoints of typing, the live
+// segments and bytes stay bounded instead of growing with the history.
+TEST(CheckpointServerTest, InMemoryServerLogStaysBoundedUnderCheckpointer) {
+  TendaxOptions options;
+  options.db.checkpoint_interval_micros = 2000;
+  auto server_res = TendaxServer::Open(std::move(options));
+  ASSERT_TRUE(server_res.ok()) << server_res.status().ToString();
+  TendaxServer* server = server_res->get();
+  auto user = server->accounts()->CreateUser("typist");
+  ASSERT_TRUE(user.ok());
+  auto doc = server->text()->CreateDocument(*user, "bounded.txt");
+  ASSERT_TRUE(doc.ok());
+
+  Checkpointer* checkpointer = server->db()->checkpointer();
+  auto wait_for_checkpoints = [&](uint64_t n) {
+    const uint64_t target = checkpointer->stats().completed + n;
+    for (int i = 0; i < 5000 && checkpointer->stats().completed < target;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return checkpointer->stats().completed >= target;
+  };
+
+  constexpr int kRounds = 8;
+  constexpr int kKeystrokesPerRound = 40;
+  int64_t max_segments = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kKeystrokesPerRound; ++i) {
+      ASSERT_TRUE(server->text()->InsertText(*user, *doc, 0, "x").ok());
+    }
+    // Two completions: the second one drops what the first one sealed.
+    ASSERT_TRUE(wait_for_checkpoints(2)) << "round " << round;
+    max_segments = std::max(
+        max_segments,
+        server->metrics()->Snapshot().GaugeValue("wal.segments"));
+  }
+
+  MetricsSnapshot snap = server->metrics()->Snapshot();
+  EXPECT_GE(snap.CounterValue("wal.appends"),
+            static_cast<uint64_t>(kRounds * kKeystrokesPerRound))
+      << "the typed history must be much larger than what survives";
+  EXPECT_GT(snap.GaugeValue("wal.truncated_bytes"), 0)
+      << "checkpoints never freed a byte of the in-memory log";
+  EXPECT_GE(max_segments, 1);
+  EXPECT_LE(max_segments, 4) << "wal.segments grew with the checkpoints";
+  std::string live;
+  ASSERT_TRUE(server->db()->wal()->storage()->ReadAll(&live).ok());
+  EXPECT_LT(live.size(), 16u * 1024) << "the live log grew with history";
+}
+
 // A transaction active across the checkpoint holds truncation back (its
 // undo chain must survive) and is rolled back as a loser after the crash.
 TEST_F(CheckpointDbTest, ActiveTxnHoldsTruncationAndRecoversAsLoser) {
@@ -442,7 +493,7 @@ TEST_F(CheckpointDbTest, ActiveTxnHoldsTruncationAndRecoversAsLoser) {
 std::vector<std::string> RecoveredRowsAfterWorkload(bool with_checkpoints,
                                                     size_t* records_scanned) {
   auto disk = std::make_shared<InMemoryDiskManager>();
-  auto log = SegmentedLogStorage::InMemory();
+  auto log = std::make_shared<InMemoryLogStorage>();
 
   DatabaseOptions options;
   options.buffer_pool_pages = 64;
@@ -543,7 +594,7 @@ TEST(CheckpointPropertyTest, TruncatedLogRecoveryMatchesFullLogRecovery) {
 // its records land above the begin LSN, which redo rescans.
 TEST(CheckpointScheduleTest, CommitLandingMidCheckpointSurvivesCrash) {
   auto disk = std::make_shared<InMemoryDiskManager>();
-  auto log = SegmentedLogStorage::InMemory();
+  auto log = std::make_shared<InMemoryLogStorage>();
   auto sched = std::make_shared<ScheduleController>(7);
 
   DatabaseOptions options;
@@ -760,7 +811,7 @@ TEST(CheckpointCrashSweepTest, EveryFaultPointDuringCheckpointRecovers) {
   auto recorder = std::make_shared<CheckpointOpRangeRecorder>(profile_plan);
   {
     auto disk = std::make_shared<InMemoryDiskManager>();
-    auto log = SegmentedLogStorage::InMemory();
+    auto log = std::make_shared<InMemoryLogStorage>();
     SweepOutcome probe = RunCheckpointWorkload(disk, log, profile_plan, seed,
                                                num_ops, recorder);
     ASSERT_TRUE(probe.setup_ok);
@@ -777,7 +828,7 @@ TEST(CheckpointCrashSweepTest, EveryFaultPointDuringCheckpointRecovers) {
     // +1: also cover the first op after the checkpoint returns.
     for (uint64_t k = first_op; k <= last_op + 1; ++k) {
       auto disk = std::make_shared<InMemoryDiskManager>();
-      auto log = SegmentedLogStorage::InMemory();
+      auto log = std::make_shared<InMemoryLogStorage>();
       auto plan = std::make_shared<FaultPlan>(seed);
       plan->CrashAtOp(k);
       SweepOutcome run = RunCheckpointWorkload(disk, log, plan, seed, num_ops);

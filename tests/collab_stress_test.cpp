@@ -554,7 +554,7 @@ TEST(CollabStressTest, BackgroundCheckpointerUnderConcurrentEditors) {
 
   TendaxOptions options;
   options.db.buffer_pool_pages = 256;  // small pool: checkpoints matter
-  options.db.log_storage = SegmentedLogStorage::InMemory();
+  options.db.log_storage = std::make_shared<InMemoryLogStorage>();
   options.db.wal_segment_bytes = 4096;
   options.db.checkpoint_interval_micros = 300;  // hammer the pipeline
   auto server_res = TendaxServer::Open(std::move(options));
@@ -663,7 +663,7 @@ TEST(CollabStressTest, SnapshotReadersUnderWriterStormPurgeAndEviction) {
 
   TendaxOptions options;
   options.db.buffer_pool_pages = 256;
-  options.db.log_storage = SegmentedLogStorage::InMemory();
+  options.db.log_storage = std::make_shared<InMemoryLogStorage>();
   options.db.wal_segment_bytes = 4096;
   options.db.checkpoint_interval_micros = 300;  // checkpoints mid-storm
   auto server_res = TendaxServer::Open(std::move(options));

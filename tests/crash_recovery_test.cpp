@@ -37,7 +37,7 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 }
 
 constexpr size_t kPoolPages = 64;        // small pool: force evictions
-constexpr size_t kCheckpointEvery = 25;  // exercise FlushAll + log reset
+constexpr size_t kCheckpointEvery = 25;  // exercise rotation + truncation
 constexpr const char* kDocName = "torture.txt";
 
 // What the shadow model knows after a (possibly crashed) workload run.

@@ -62,8 +62,9 @@ TEST_F(MvccTest, SnapshotIsImmutableAcrossLaterEdits) {
   EXPECT_EQ(*server_->text()->Length(doc), 11u);
 }
 
-// Snapshot time travel matches the legacy record-walking reconstruction at
-// every version.
+// Snapshot time travel matches, at every version, both a reconstruction
+// from the stored character records (FullChain, tombstones included) and a
+// snapshot rebuilt cold from storage after eviction.
 TEST_F(MvccTest, TextAtVersionMatchesEveryCommittedVersion) {
   DocumentId doc = MakeDoc(alice_, "history", "abc");     // v1
   ASSERT_TRUE(server_->text()->InsertText(alice_, doc, 3, "def").ok());  // v2
@@ -72,24 +73,34 @@ TEST_F(MvccTest, TextAtVersionMatchesEveryCommittedVersion) {
 
   const std::vector<std::string> expected = {"abc", "abcdef", "adef",
                                              "aXYdef"};
+  auto chain = server_->text()->FullChain(doc);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   for (Version v = 1; v <= 4; ++v) {
     auto mvcc = server_->text()->TextAtVersion(doc, v);
     ASSERT_TRUE(mvcc.ok()) << mvcc.status().ToString();
     EXPECT_EQ(*mvcc, expected[v - 1]) << "version " << v;
+    std::string from_records;
+    for (const CharInfo& c : *chain) {
+      if (c.inserted_version <= v &&
+          (c.deleted_version == 0 || c.deleted_version > v)) {
+        from_records.push_back(static_cast<char>(c.cp));  // ASCII here
+      }
+    }
+    EXPECT_EQ(from_records, expected[v - 1]) << "records at version " << v;
   }
-  // The same answers come from the legacy path.
-  server_->text()->SetSnapshotsEnabled(false);
+  ASSERT_TRUE(server_->text()->EvictDocument(doc));
   for (Version v = 1; v <= 4; ++v) {
-    auto legacy = server_->text()->TextAtVersion(doc, v);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(*legacy, expected[v - 1]) << "legacy version " << v;
+    auto cold = server_->text()->TextAtVersion(doc, v);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(*cold, expected[v - 1]) << "cold version " << v;
   }
 }
 
 // The headline property: while a writer's commit is parked inside the
 // group-commit flush still holding its X document lock (early lock release
 // off), snapshot reads proceed immediately at the previous version with no
-// lock acquisition — and the lock-based paths demonstrably do not.
+// lock acquisition — while a shared document lock demonstrably cannot be
+// had.
 TEST(MvccContrastTest, SnapshotReadsDoNotStallBehindPausedCommit) {
   auto sched = std::make_shared<ScheduleController>(/*seed=*/11);
   TendaxOptions options;
@@ -131,15 +142,19 @@ TEST(MvccContrastTest, SnapshotReadsDoNotStallBehindPausedCommit) {
   ASSERT_TRUE(clip.ok()) << clip.status().ToString();
   EXPECT_EQ(clip->size(), 4u);
 
-  // Contrast: with snapshots disabled, Copy needs a shared document lock
-  // and times out against the parked writer's X lock.
-  server->text()->SetSnapshotsEnabled(false);
-  auto blocked = server->text()->Copy(*user, *doc, 0, 4);
+  // Contrast: a shared document lock — what a lock-based read would need —
+  // times out against the parked writer's X lock.
+  Status blocked = server->db()->txns()->RunInTxn(
+      *user,
+      [&](Transaction* txn) {
+        return server->db()->locks()->Acquire(
+            txn->id(), MakeResource(ResourceKind::kDocument, doc->value),
+            LockMode::kS);
+      },
+      /*max_retries=*/0);
   ASSERT_FALSE(blocked.ok());
-  EXPECT_TRUE(blocked.status().IsConflict() ||
-              blocked.status().IsDeadlineExceeded())
-      << blocked.status().ToString();
-  server->text()->SetSnapshotsEnabled(true);
+  EXPECT_TRUE(blocked.IsConflict() || blocked.IsDeadlineExceeded())
+      << blocked.ToString();
 
   sched->ReleaseFlush();
   writer.join();
@@ -149,9 +164,9 @@ TEST(MvccContrastTest, SnapshotReadsDoNotStallBehindPausedCommit) {
   EXPECT_EQ((*after)->Text(), "base+more");
 }
 
-// Purge raises the floor: below it reads fail typed (snapshot and legacy
-// path alike); at/above it they stay exact; the floor survives cache
-// invalidation and eviction because it is persisted with the document.
+// Purge raises the floor: below it reads fail typed; at/above it they stay
+// exact; the floor survives cache invalidation and eviction because it is
+// persisted with the document.
 TEST_F(MvccTest, PurgeFloorFailsTypedAndSurvivesEviction) {
   DocumentId doc = MakeDoc(alice_, "purged", "abcdef");             // v1
   ASSERT_TRUE(server_->text()->DeleteRange(alice_, doc, 1, 2).ok());  // v2
@@ -175,12 +190,6 @@ TEST_F(MvccTest, PurgeFloorFailsTypedAndSurvivesEviction) {
   check_floor();
   ASSERT_TRUE(server_->text()->EvictDocument(doc));
   check_floor();
-
-  // The legacy path enforces the same floor.
-  server_->text()->SetSnapshotsEnabled(false);
-  auto below = server_->text()->TextAtVersion(doc, 1);
-  ASSERT_FALSE(below.ok());
-  EXPECT_TRUE(below.status().IsFailedPrecondition());
 }
 
 // The purge floor is durable across a real close + reopen of a file-backed
@@ -282,31 +291,6 @@ TEST_F(MvccTest, TrackerBalancesPublishedAndReclaimed) {
   // The stats scrape path folds the gauges in.
   server_->text()->RefreshMvccGauges();
   EXPECT_EQ(metrics->gauge("mvcc.live_snapshots")->Value(), 0);
-}
-
-// The ablation knob: with snapshots disabled, AcquireSnapshot refuses typed
-// and every read still works through the legacy path.
-TEST(MvccKnobTest, DisabledSnapshotsFallBackToLockedReads) {
-  TendaxOptions options;
-  options.mvcc_snapshots = false;
-  auto server = TendaxServer::Open(std::move(options));
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  auto user = (*server)->accounts()->CreateUser("alice");
-  ASSERT_TRUE(user.ok());
-  auto doc = (*server)->text()->CreateDocument(*user, "legacy");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_TRUE((*server)->text()->InsertText(*user, *doc, 0, "plain").ok());
-
-  EXPECT_FALSE((*server)->text()->snapshots_enabled());
-  auto snap = (*server)->text()->AcquireSnapshot(*doc);
-  ASSERT_FALSE(snap.ok());
-  EXPECT_TRUE(snap.status().IsFailedPrecondition());
-
-  EXPECT_EQ(*(*server)->text()->Text(*doc), "plain");
-  EXPECT_EQ(*(*server)->text()->Length(*doc), 5u);
-  auto clip = (*server)->text()->Copy(*user, *doc, 0, 5);
-  ASSERT_TRUE(clip.ok());
-  EXPECT_EQ(clip->size(), 5u);
 }
 
 // Snapshot-read transactions are observation-only: no WAL records, no ATT

@@ -8,6 +8,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "storage/segmented_log.h"
 #include "storage/wal.h"
 #include "util/coding.h"
 #include "util/random.h"
@@ -309,23 +310,31 @@ TEST(WalTest, ResetClearsButKeepsNumbering) {
 }
 
 TEST(WalTest, FileBackedRoundTrip) {
-  std::string path = TempPath("wal.log");
+  const std::string prefix = TempPath("wal.log");
+  // Segment files of an earlier run would replay their records too.
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(prefix).parent_path())) {
+    if (entry.path().filename().string().rfind("wal.log.", 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
   {
-    auto storage = FileLogStorage::Open(path);
-    ASSERT_TRUE(storage.ok());
-    Wal wal(std::shared_ptr<LogStorage>(std::move(*storage)));
+    auto storage = SegmentedLogStorage::OpenFiles(prefix);
+    ASSERT_TRUE(storage.ok()) << storage.status().ToString();
+    Wal wal(*storage);
     LogRecord rec = MakeUpdate(4, 5, 6, "before", "after");
     ASSERT_TRUE(wal.Append(&rec).ok());
     ASSERT_TRUE(wal.FlushAll().ok());
   }
-  auto storage = FileLogStorage::Open(path);
-  ASSERT_TRUE(storage.ok());
-  Wal wal(std::shared_ptr<LogStorage>(std::move(*storage)));
+  auto storage = SegmentedLogStorage::OpenFiles(prefix);
+  ASSERT_TRUE(storage.ok()) << storage.status().ToString();
+  Wal wal(*storage);
   std::vector<LogRecord> out;
   ASSERT_TRUE(wal.ReadAll(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].before, "before");
   EXPECT_EQ(out[0].after, "after");
+  ASSERT_TRUE((*storage)->Truncate().ok());  // clean up the segment files
 }
 
 // --- log-record robustness fuzz ------------------------------------------
@@ -513,6 +522,73 @@ TEST(LogRecordFuzzTest, DecodeLogBufferStopsAtLsnGap) {
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].lsn, 2u);
     EXPECT_EQ(next, 3u);
+  }
+}
+
+// Frames `payload` the way the WAL does: fixed32 length, fixed32 FNV-1a
+// checksum, payload. Lets a test hand the decoder a checksum-valid frame
+// whose payload is nonsense.
+std::string Frame(const std::string& payload) {
+  uint32_t h = 2166136261u;
+  for (char c : payload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 16777619u;
+  }
+  std::string out;
+  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&out, h);
+  return out + payload;
+}
+
+// Decodes lsn 1, then `bad` as lsn 2, then lsn 3, and expects decoding to
+// stop after lsn 1 — the same outcome as a torn second record.
+void ExpectDecodingStopsAt(const std::string& bad) {
+  LogRecord first, last;
+  first.lsn = 1;
+  last.lsn = 3;
+  std::string head, tail;
+  first.EncodeTo(&head);
+  last.EncodeTo(&tail);
+  std::vector<LogRecord> out;
+  Lsn next = Wal::DecodeLogBuffer(Frame(head) + Frame(bad) + Frame(tail), &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].lsn, 1u);
+  EXPECT_EQ(next, 2u);
+}
+
+// A type byte naming no LogType — 6, the retired single-file checkpoint
+// marker, included — is trash, not a record of some unknown kind.
+TEST(LogRecordFuzzTest, UnknownTypeByteEndsDecoding) {
+  LogRecord rec;
+  rec.lsn = 2;
+  rec.type = LogType::kCommit;
+  std::string payload;
+  rec.EncodeTo(&payload);
+  // lsn, prev_lsn and txn are one-byte varints here, so byte 3 is the type.
+  ASSERT_EQ(payload[3], static_cast<char>(LogType::kCommit));
+  for (int type : {0, 6, 9, 255}) {
+    SCOPED_TRACE("type byte " + std::to_string(type));
+    payload[3] = static_cast<char>(type);
+    LogRecord out;
+    EXPECT_FALSE(LogRecord::DecodeFrom(Slice(payload), &out));
+    ExpectDecodingStopsAt(payload);
+  }
+}
+
+// The same for the op byte of an update record.
+TEST(LogRecordFuzzTest, UnknownUpdateOpByteEndsDecoding) {
+  LogRecord rec = MakeUpdate(1, 2, 3, "old", "new");
+  rec.lsn = 2;
+  std::string payload;
+  rec.EncodeTo(&payload);
+  // lsn, prev_lsn, txn, type: byte 4 is the op.
+  ASSERT_EQ(payload[4], static_cast<char>(UpdateOp::kUpdate));
+  for (int op : {0, 4, 255}) {
+    SCOPED_TRACE("op byte " + std::to_string(op));
+    payload[4] = static_cast<char>(op);
+    LogRecord out;
+    EXPECT_FALSE(LogRecord::DecodeFrom(Slice(payload), &out));
+    ExpectDecodingStopsAt(payload);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <thread>
 
+#include "storage/segmented_log.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
 #include "util/clock.h"

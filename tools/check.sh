@@ -17,14 +17,17 @@
 #                      control, deadline propagation, the editor storm
 #   5. mvcc            ctest -L mvcc on a default build — lock-free
 #                      snapshot reads, purge-floor semantics, the seeded
-#                      snapshot-consistency harness
+#                      snapshot-consistency harness — plus the reader storm
+#                      repeated 40 times, so a rare publication race fails
+#                      the stage instead of slipping through one run
 #   6. clang-tidy      bug/concurrency/performance checks over src/
 #   7. sanitizers      ctest under -fsanitize=address and =undefined
 #                      (the checkpoint + overload + mvcc suites run under
 #                      both as well)
 #   8. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
 #                      publication / COW / reclamation raced against the
-#                      writer storm, checkpointer, purge, and eviction
+#                      writer storm, checkpointer, purge, and eviction (the
+#                      storm again repeated 40 times)
 #
 # Exit code is non-zero iff any stage that *ran* failed.
 set -u
@@ -86,18 +89,26 @@ stage_overload() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L overload
 }
 
+repeat_mvcc_storm() { # build dir
+  "$1/tests/collab_stress_test" \
+      --gtest_filter='*SnapshotReadersUnderWriterStormPurgeAndEviction*' \
+      --gtest_repeat=40 --gtest_brief=1
+}
+
 stage_mvcc() {
   local dir="$BUILD_ROOT/checkpoint"  # reuse the default-config build
   cmake -S "$ROOT" -B "$dir" >/dev/null &&
   cmake --build "$dir" -j "$JOBS" &&
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L mvcc
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L mvcc &&
+  repeat_mvcc_storm "$dir"
 }
 
 stage_tsan_mvcc() {
   local dir="$BUILD_ROOT/san-thread"
   cmake -S "$ROOT" -B "$dir" -DTENDAX_SANITIZE=thread >/dev/null &&
   cmake --build "$dir" -j "$JOBS" &&
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L mvcc
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L mvcc &&
+  repeat_mvcc_storm "$dir"
 }
 
 stage_clang_tidy() {
