@@ -5,14 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <string>
 
 #include "bench_files.h"
 #include "collab/retrying_client.h"
 #include "core/tendax.h"
-#include "storage/wal.h"
 
 namespace tendax {
 namespace {
@@ -154,11 +152,12 @@ void BM_CrossDocPaste(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossDocPaste)->Threads(2)->Threads(4)->UseRealTime();
 
-// E7 — group-commit ablation: commit throughput on one shared document over
-// a durable file backend (real fsyncs), per-commit flushing versus the two
-// group-commit flavors. The group rows amortize one fsync over every commit
-// that piles up while the previous flush runs; the per-commit row pays one
-// fsync per keystroke transaction.
+// E7 — group commit on the one commit path: keystroke commit throughput on
+// one shared document over a durable file backend (real fsyncs), 1–16
+// editors. The WAL flushes one batch at a time and the next flush takes
+// everything buffered, so commits that arrive during an fsync share the
+// next one; `commits_per_sync` shows how many. The retired per-commit /
+// leader / flusher-thread ablation is recorded in BENCH_groupcommit.json.
 struct GroupCommitEnv {
   std::unique_ptr<TendaxServer> server;
   std::vector<UserId> users;
@@ -168,43 +167,33 @@ struct GroupCommitEnv {
   // Benches run from the build directory; relative paths keep the durable
   // files out of the source tree. Stale files from a previous run are
   // removed so every process starts from an empty database.
-  static GroupCommitEnv* Make(CommitFlushMode mode, const std::string& tag) {
-    auto* e = new GroupCommitEnv();
-    const std::string path = "bench_gc_" + tag + ".db";
-    RemoveDatabaseFiles(path);
-    TendaxOptions options;
-    options.db.path = path;
-    options.db.buffer_pool_pages = 16384;
-    options.db.group_commit.mode = mode;
-    // Zero batching window: flush as soon as any commit waits, batching
-    // whatever piled up behind the in-flight flush (lowest latency; the
-    // batching comes from fsync pressure itself).
-    options.db.group_commit.flush_interval = std::chrono::microseconds(0);
-    e->server = *TendaxServer::Open(std::move(options));
-    for (int i = 0; i < 16; ++i) {
-      e->users.push_back(
-          *e->server->accounts()->CreateUser("editor" + std::to_string(i)));
-    }
-    e->doc = *e->server->text()->CreateDocument(e->users[0], "shared");
-    (void)e->server->text()->InsertText(e->users[0], e->doc, 0, "seed");
-    return e;
-  }
-
-  static GroupCommitEnv* PerCommit() {
-    static GroupCommitEnv* e = Make(CommitFlushMode::kPerCommit, "percommit");
-    return e;
-  }
-  static GroupCommitEnv* Leader() {
-    static GroupCommitEnv* e = Make(CommitFlushMode::kLeader, "leader");
-    return e;
-  }
-  static GroupCommitEnv* Flusher() {
-    static GroupCommitEnv* e = Make(CommitFlushMode::kFlusherThread, "flusher");
+  static GroupCommitEnv* Get() {
+    static GroupCommitEnv* e = [] {
+      auto* env = new GroupCommitEnv();
+      const std::string path = "bench_gc.db";
+      RemoveDatabaseFiles(path);
+      TendaxOptions options;
+      options.db.path = path;
+      options.db.buffer_pool_pages = 16384;
+      env->server = *TendaxServer::Open(std::move(options));
+      for (int i = 0; i < 16; ++i) {
+        env->users.push_back(*env->server->accounts()->CreateUser(
+            "editor" + std::to_string(i)));
+      }
+      env->doc = *env->server->text()->CreateDocument(env->users[0], "shared");
+      (void)env->server->text()->InsertText(env->users[0], env->doc, 0,
+                                            "seed");
+      return env;
+    }();
     return e;
   }
 };
 
-void RunGroupCommitTyping(benchmark::State& state, GroupCommitEnv* env) {
+void BM_GroupCommit(benchmark::State& state) {
+  GroupCommitEnv* env = GroupCommitEnv::Get();
+  MetricsRegistry* metrics = env->server->metrics();
+  const uint64_t syncs_before = metrics->counter("wal.syncs")->Value();
+  const uint64_t commits_before = metrics->counter("wal.commits")->Value();
   UserId user = env->users[state.thread_index() % env->users.size()];
   for (auto _ : state) {
     auto r = env->server->text()->InsertText(user, env->doc, 0, "a");
@@ -219,41 +208,19 @@ void RunGroupCommitTyping(benchmark::State& state, GroupCommitEnv* env) {
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    const WalGroupCommitStats stats =
-        env->server->db()->wal()->group_commit_stats();
-    state.counters["wal_syncs"] = static_cast<double>(stats.syncs);
-    state.counters["group_flushes"] = static_cast<double>(stats.group_flushes);
+    const uint64_t syncs =
+        metrics->counter("wal.syncs")->Value() - syncs_before;
+    const uint64_t commits =
+        metrics->counter("wal.commits")->Value() - commits_before;
+    state.counters["wal_syncs"] = static_cast<double>(syncs);
+    state.counters["commits_per_sync"] =
+        syncs == 0 ? 0.0
+                   : static_cast<double>(commits) / static_cast<double>(syncs);
     state.counters["retryable_conflicts"] =
         static_cast<double>(env->conflicts.exchange(0));
   }
 }
-
-void BM_GroupCommit_PerCommit(benchmark::State& state) {
-  RunGroupCommitTyping(state, GroupCommitEnv::PerCommit());
-}
-BENCHMARK(BM_GroupCommit_PerCommit)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->Threads(16)
-    ->UseRealTime();
-
-void BM_GroupCommit_Leader(benchmark::State& state) {
-  RunGroupCommitTyping(state, GroupCommitEnv::Leader());
-}
-BENCHMARK(BM_GroupCommit_Leader)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->Threads(16)
-    ->UseRealTime();
-
-void BM_GroupCommit_Flusher(benchmark::State& state) {
-  RunGroupCommitTyping(state, GroupCommitEnv::Flusher());
-}
-BENCHMARK(BM_GroupCommit_Flusher)
+BENCHMARK(BM_GroupCommit)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -7,12 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <string>
 
 #include "bench_files.h"
 #include "core/tendax.h"
-#include "storage/wal.h"
 #include "workload/generators.h"
 
 namespace tendax {
@@ -216,48 +214,37 @@ BENCHMARK(BM_OpenChurnedDocument)
     ->Arg(0)   // tombstones retained (full history)
     ->Arg(1);  // history purged
 
-// Durability ablation for the group-commit pipeline, single editor on a
-// durable file backend (real fsyncs). With one editor there is nothing to
-// coalesce, so the group path must not add latency over a plain per-commit
-// flush — this row pins the pipeline's uncontended overhead; the contended
-// ablation rows live in bench_concurrency (BM_GroupCommit_*).
+// One durable keystroke, single editor on a file backend (real fsyncs):
+// the uncontended cost of the commit path. The contended rows live in
+// bench_concurrency (BM_GroupCommit).
 void BM_InsertCharDurable(benchmark::State& state) {
-  const bool grouped = state.range(0) != 0;
   struct DurableEnv {
     std::unique_ptr<TendaxServer> server;
     UserId user;
     DocumentId doc;
   };
-  static auto make = [](CommitFlushMode mode, const std::string& tag) {
+  static DurableEnv* env = [] {
     auto* e = new DurableEnv();
-    const std::string path = "bench_edit_durable_" + tag + ".db";
+    const std::string path = "bench_edit_durable.db";
     RemoveDatabaseFiles(path);
     TendaxOptions options;
     options.db.path = path;
     options.db.buffer_pool_pages = 16384;
-    options.db.group_commit.mode = mode;
-    options.db.group_commit.flush_interval = std::chrono::microseconds(0);
     e->server = *TendaxServer::Open(std::move(options));
     e->user = *e->server->accounts()->CreateUser("bench");
     e->doc = *e->server->text()->CreateDocument(e->user, "durable");
     return e;
-  };
-  static DurableEnv* percommit = make(CommitFlushMode::kPerCommit, "percommit");
-  static DurableEnv* flusher = make(CommitFlushMode::kFlusherThread, "flusher");
-  DurableEnv* env = grouped ? flusher : percommit;
+  }();
   for (auto _ : state) {
     auto r = env->server->text()->InsertText(env->user, env->doc, 0, "x");
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["wal_syncs"] = static_cast<double>(
-      env->server->db()->wal()->group_commit_stats().syncs);
+      env->server->metrics()->counter("wal.syncs")->Value());
 }
-BENCHMARK(BM_InsertCharDurable)
-    ->Arg(0)  // per-commit flush
-    ->Arg(1)  // group commit (flusher thread)
-    ->UseRealTime();  // the fsync wait parks on the flusher thread, so CPU
-                      // time would hide it and flatter the group path
+BENCHMARK(BM_InsertCharDurable)->UseRealTime();  // CPU time would hide the
+                                                 // fsync wait
 
 // The purge operation itself.
 void BM_PurgeHistory(benchmark::State& state) {

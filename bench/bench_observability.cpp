@@ -2,10 +2,8 @@
 // instrumented per-keystroke insert path versus metrics_enabled=false.
 //
 // BM_MetricsOverheadInsertChar/1 vs /0 is that comparison (arg = whether
-// histograms are enabled; counters are always live). The group-commit
-// variant times the same keystroke when every commit crosses the
-// CommitFlush latency timer and the flusher's batch histograms. The micro
-// benchmarks price the primitives themselves: a striped counter add, a
+// histograms are enabled; counters are always live). The micro benchmarks
+// price the primitives themselves: a striped counter add, a
 // histogram record, a ScopedTimer span (two clock reads), and the cold
 // aggregation paths (snapshot, encode, text exposition).
 //
@@ -20,7 +18,6 @@
 
 #include "core/tendax.h"
 #include "obs/metrics.h"
-#include "storage/wal.h"
 
 namespace tendax {
 namespace {
@@ -29,18 +26,14 @@ struct ObsEnv {
   std::unique_ptr<TendaxServer> server;
   UserId user;
 
-  static ObsEnv* Get(bool metrics_enabled, bool group_commit) {
-    static ObsEnv* envs[2][2] = {};
-    ObsEnv*& env = envs[metrics_enabled ? 1 : 0][group_commit ? 1 : 0];
+  static ObsEnv* Get(bool metrics_enabled) {
+    static ObsEnv* envs[2] = {};
+    ObsEnv*& env = envs[metrics_enabled ? 1 : 0];
     if (env == nullptr) {
       env = new ObsEnv();
       TendaxOptions options;
       options.db.buffer_pool_pages = 16384;
       options.metrics_enabled = metrics_enabled;
-      if (group_commit) {
-        options.db.group_commit.mode = CommitFlushMode::kFlusherThread;
-        options.db.group_commit.flush_interval = std::chrono::microseconds(0);
-      }
       env->server = *TendaxServer::Open(std::move(options));
       env->user = *env->server->accounts()->CreateUser("bench");
     }
@@ -62,7 +55,7 @@ struct ObsEnv {
 // One keystroke at the end of the document, instrumented (arg=1) or with
 // histograms disabled (arg=0). Counters run in both configurations.
 void BM_MetricsOverheadInsertChar(benchmark::State& state) {
-  ObsEnv* env = ObsEnv::Get(state.range(0) != 0, /*group_commit=*/false);
+  ObsEnv* env = ObsEnv::Get(state.range(0) != 0);
   DocumentId doc = env->FreshDoc(1024);
   size_t pos = static_cast<size_t>(*env->server->text()->Length(doc));
   for (auto _ : state) {
@@ -73,22 +66,6 @@ void BM_MetricsOverheadInsertChar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsOverheadInsertChar)->Arg(0)->Arg(1);
-
-// Same keystroke through the group-commit pipeline (flusher thread), where
-// the commit additionally crosses the CommitFlush timer, the flush timer
-// and the batch-size histogram.
-void BM_MetricsOverheadGroupCommit(benchmark::State& state) {
-  ObsEnv* env = ObsEnv::Get(state.range(0) != 0, /*group_commit=*/true);
-  DocumentId doc = env->FreshDoc(1024);
-  size_t pos = static_cast<size_t>(*env->server->text()->Length(doc));
-  for (auto _ : state) {
-    auto r = env->server->text()->InsertText(env->user, doc, pos, "x");
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    ++pos;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsOverheadGroupCommit)->Arg(0)->Arg(1);
 
 // --- primitive costs ------------------------------------------------------
 

@@ -30,11 +30,9 @@ struct TendaxOptions {
   /// injection tests plug `FaultInjecting{DiskManager,LogStorage}` wrappers
   /// in here and reopen over the inner backends to model a crash+restart.
   ///
-  /// `db.group_commit` selects the commit-durability strategy: per-commit
-  /// fsync, or group commit with a leader committer / a background flusher
-  /// thread that coalesces all concurrently waiting keystroke commits into
-  /// one fsync. The flusher's lifecycle is tied to the server: started on
-  /// Open, drained and joined on destruction.
+  /// Commit durability has no knob: each commit flushes the WAL inline,
+  /// and because one flush runs at a time and takes everything buffered,
+  /// keystroke commits that arrive during an fsync share the next one.
   ///
   /// `db.checkpoint_interval_micros` / `db.checkpoint_dirty_page_threshold`
   /// arm the background fuzzy checkpointer (either trigger suffices): it

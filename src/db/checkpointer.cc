@@ -84,11 +84,6 @@ void Checkpointer::Loop() {
         options_.dirty_page_threshold > 0 &&
         pool_->DirtyCount() >= options_.dirty_page_threshold;
     if (!due_by_timer && !due_by_threshold) continue;
-    if (!wal_->poison_status().ok()) {
-      // Fail-stopped WAL: nothing can be made durable until reopen, so
-      // keep idling instead of burning the log with doomed attempts.
-      continue;
-    }
     // The outcome is recorded in stats/metrics; the loop itself has no
     // caller to report to and simply tries again next beat.
     (void)CheckpointNow();
@@ -115,7 +110,6 @@ void Checkpointer::Hook(uint64_t index, CheckpointPhase phase) {
 }
 
 Status Checkpointer::RunOnce() {
-  TENDAX_RETURN_IF_ERROR(wal_->poison_status());
   const uint64_t index = ++index_;
   // Armed before the begin record so failures in any phase still record a
   // duration sample via RAII.
@@ -126,8 +120,7 @@ Status Checkpointer::RunOnce() {
   // 1. Open the checkpoint.
   LogRecord begin;
   begin.type = LogType::kCheckpointBegin;
-  auto begin_lsn = wal_->Append(&begin);
-  if (!begin_lsn.ok()) return begin_lsn.status();
+  const Lsn begin_lsn = wal_->Append(&begin);
 
   // 2. Fuzzy snapshots. Taken after B so any record that slips in between
   //    is either covered by the snapshot or lands above B — both safe: a
@@ -170,7 +163,7 @@ Status Checkpointer::RunOnce() {
   //    or its effect was already durable), and records above B take care
   //    of themselves. Hence redo_lsn = min(B, min rec_lsn) is safe.
   std::vector<CheckpointPageEntry> dpt_now = pool_->DirtyPageTable();
-  Lsn redo_lsn = *begin_lsn;
+  Lsn redo_lsn = begin_lsn;
   for (const CheckpointPageEntry& e : dpt_now) {
     if (e.rec_lsn != kInvalidLsn && e.rec_lsn < redo_lsn) {
       redo_lsn = e.rec_lsn;
@@ -181,13 +174,12 @@ Status Checkpointer::RunOnce() {
   //    truncation may rely on it.
   LogRecord end;
   end.type = LogType::kCheckpointEnd;
-  end.checkpoint_begin_lsn = *begin_lsn;
+  end.checkpoint_begin_lsn = begin_lsn;
   end.checkpoint_redo_lsn = redo_lsn;
   end.att = std::move(att);
   end.dpt = std::move(dpt_now);
-  auto end_lsn = wal_->Append(&end);
-  if (!end_lsn.ok()) return end_lsn.status();
-  TENDAX_RETURN_IF_ERROR(wal_->Flush(*end_lsn));
+  const Lsn end_lsn = wal_->Append(&end);
+  TENDAX_RETURN_IF_ERROR(wal_->Flush(end_lsn));
 
   Hook(index, CheckpointPhase::kAfterEndRecord);
 
@@ -215,7 +207,7 @@ Status Checkpointer::RunOnce() {
     MutexLock lock(state_mu_);
     stats_.pages_flushed += flushed;
     stats_.pages_skipped_busy += busy;
-    stats_.last_end_lsn = *end_lsn;
+    stats_.last_end_lsn = end_lsn;
     stats_.last_redo_lsn = redo_lsn;
   }
   return Status::OK();

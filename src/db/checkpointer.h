@@ -28,10 +28,10 @@ enum class CheckpointPhase : uint8_t {
 /// Human-readable phase name, e.g. "AfterDirtyFlush".
 const char* CheckpointPhaseName(CheckpointPhase phase);
 
-/// Test-only observation and pause points on the checkpoint pipeline,
-/// mirroring GroupCommitHooks. `ScheduleController` (src/testing)
-/// implements this to park the checkpointer at a chosen phase while editor
-/// commits (or a fault plan) run against it.
+/// Test-only observation and pause points on the checkpoint pipeline.
+/// `ScheduleController` (src/testing) implements this to park the
+/// checkpointer at a chosen phase while editor commits (or a fault plan)
+/// run against it.
 class CheckpointHooks {
  public:
   virtual ~CheckpointHooks() = default;

@@ -32,8 +32,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
 
   db->metrics_ = options.metrics ? options.metrics
                                  : std::make_shared<MetricsRegistry>();
-  db->wal_ = std::make_unique<Wal>(db->log_storage_, options.group_commit,
-                                   db->metrics_.get(),
+  db->wal_ = std::make_unique<Wal>(db->log_storage_, db->metrics_.get(),
                                    options.wal_segment_bytes);
   db->buffer_pool_ = std::make_unique<BufferPool>(
       options.buffer_pool_pages, db->disk_.get(), db->wal_.get(),
@@ -67,18 +66,6 @@ Database::~Database() {
   // into the WAL, buffer pool, and txn manager.
   if (checkpointer_ != nullptr) {
     checkpointer_->Stop();
-  }
-  if (wal_ != nullptr) {
-    // Resolve any committers still blocked on the group flusher before the
-    // final flushes below.
-    wal_->Shutdown();
-    if (!wal_->poison_status().ok()) {
-      // Fail-stopped: a shared flush failed after its waiters had released
-      // their locks, so in-memory pages may hold effects the durable log
-      // cannot justify. Close like a crash — write nothing back — and let
-      // the next open recover from the log.
-      return;
-    }
   }
   // Shutdown flushes are best-effort: there is no caller left to act on a
   // failure, and recovery rebuilds anything that failed to reach disk.
@@ -190,11 +177,6 @@ Result<BPlusTree*> Database::GetIndex(const std::string& name) const {
 }
 
 Status Database::Checkpoint() {
-  if (wal_ != nullptr) {
-    Status poisoned = wal_->poison_status();
-    // A checkpoint must not write back pages the log cannot justify.
-    if (!poisoned.ok()) return poisoned;
-  }
   if (txn_manager_->ActiveCount() > 0) {
     return Status::FailedPrecondition(
         "checkpoint requires a quiescent database; use CheckpointNow() for "

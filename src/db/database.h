@@ -33,10 +33,6 @@ struct DatabaseOptions {
   size_t buffer_pool_pages = 4096;
   /// Whether commits wait for the log flush.
   bool sync_commit = true;
-  /// How commit flushes are serviced (per-commit vs group commit); the
-  /// flusher thread, when configured, lives inside the Wal and is drained
-  /// on close. See `GroupCommitOptions`.
-  GroupCommitOptions group_commit;
   /// Lock wait timeout before a Conflict error. When the acquiring thread
   /// carries an ambient request deadline (util/deadline.h — armed by the
   /// wire endpoint from the frame's `deadline_micros`), the effective wait
@@ -152,7 +148,7 @@ class Database : public ChangeApplier {
   std::unique_ptr<TxnManager> txn_manager_;
   std::unique_ptr<Catalog> catalog_;
   // Declared after the subsystems it drives; its thread is stopped first
-  // thing in ~Database, before the WAL shuts down.
+  // thing in ~Database, before the final flushes.
   std::unique_ptr<Checkpointer> checkpointer_;
 
   // Held across BPlusTree::Create / CheckIntegrity (tree mutex, rank

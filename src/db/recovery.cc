@@ -144,9 +144,7 @@ Status RecoveryManager::Run(const std::vector<LogRecord>& log) {
       clr.rid = rec.rid;
       clr.after = *image;
       clr.undo_next_lsn = rec.lsn;
-      auto lsn = wal_->Append(&clr);
-      if (!lsn.ok()) return lsn.status();
-      clr_lsn = *lsn;
+      clr_lsn = wal_->Append(&clr);
     }
     HeapTable* table = table_for_(rec.table_id);
     if (table == nullptr) {

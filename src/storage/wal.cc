@@ -131,12 +131,9 @@ bool LogRecord::DecodeFrom(Slice input, LogRecord* out) {
   return true;
 }
 
-Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
-         MetricsRegistry* metrics, uint64_t segment_bytes)
-    : storage_(std::move(storage)),
-      segment_bytes_(segment_bytes),
-      gc_options_(std::move(group_commit)),
-      gc_mu_("wal.gc", lockorder::kRankWalGroup) {
+Wal::Wal(std::shared_ptr<LogStorage> storage, MetricsRegistry* metrics,
+         uint64_t segment_bytes)
+    : storage_(std::move(storage)), segment_bytes_(segment_bytes) {
   if (metrics != nullptr) {
     m_appends_ = metrics->counter("wal.appends");
     m_rotations_ = metrics->counter("wal.rotations");
@@ -144,12 +141,9 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
     m_truncated_bytes_ = metrics->gauge("wal.truncated_bytes");
     m_syncs_ = metrics->counter("wal.syncs");
     m_commits_ = metrics->counter("wal.commits");
-    m_group_flushes_ = metrics->counter("wal.group_flushes");
     m_failed_flushes_ = metrics->counter("wal.failed_flushes");
-    m_max_batch_ = metrics->gauge("wal.max_batch");
     m_flush_micros_ = metrics->histogram("wal.flush_micros");
     m_commit_flush_micros_ = metrics->histogram("wal.commit_flush_micros");
-    m_batch_size_ = metrics->histogram("wal.batch_size");
   }
   // Continue LSN numbering after any records already in the log. The
   // per-segment read rebuilds both the LSN cursor and the segment spans the
@@ -196,26 +190,9 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
     flushed_lsn_ = next - 1;
     MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
   }
-  {
-    MutexLock lock(gc_mu_);
-    gc_durable_ = next - 1;
-  }
-  if (gc_options_.mode == CommitFlushMode::kFlusherThread) {
-    flusher_ = std::thread(&Wal::FlusherLoop, this);
-  }
 }
 
-Wal::~Wal() {
-  // Note: deliberately no flush here — dropping a Wal with buffered records
-  // models a crash that loses them (see the constructor comment). Shutdown
-  // only resolves committers still blocked on the flusher.
-  Shutdown();
-}
-
-Result<Lsn> Wal::Append(LogRecord* rec) {
-  if (gc_poisoned_.load(std::memory_order_acquire)) {
-    return gc_poison_status_;
-  }
+Lsn Wal::Append(LogRecord* rec) {
   MutexLock lock(mu_);
   rec->lsn = next_lsn_++;
   std::string payload;
@@ -227,12 +204,12 @@ Result<Lsn> Wal::Append(LogRecord* rec) {
   return rec->lsn;
 }
 
-Status Wal::Flush(Lsn up_to) { return FlushInternal(up_to, false); }
+Status Wal::Flush(Lsn up_to) { return FlushInternal(up_to); }
 
-Status Wal::FlushInternal(Lsn up_to, bool force_sync) {
+Status Wal::FlushInternal(Lsn up_to) {
   MutexLock l(mu_);
   for (;;) {
-    if (!force_sync && up_to <= flushed_lsn_) return Status::OK();
+    if (up_to <= flushed_lsn_) return Status::OK();
     if (!flush_in_flight_) break;
     flush_cv_.Wait(l);
   }
@@ -257,7 +234,6 @@ Status Wal::FlushInternal(Lsn up_to, bool force_sync) {
   if (appended) {
     // The bytes reached storage even if the Sync failed; a retry only needs
     // to Sync again, so the batch stays out of pending_.
-    ++syncs_issued_;
     MetricAdd(m_syncs_);
     if (st.ok() && target > flushed_lsn_) flushed_lsn_ = target;
     if (st.ok() && segment_bytes_ > 0 &&
@@ -273,6 +249,7 @@ Status Wal::FlushInternal(Lsn up_to, bool force_sync) {
     // appended meanwhile so log order is preserved for the retry.
     pending_.insert(0, batch);
   }
+  if (!st.ok()) MetricAdd(m_failed_flushes_);
   flush_in_flight_ = false;
   flush_cv_.NotifyAll();
   return st;
@@ -288,197 +265,9 @@ Status Wal::FlushAll() {
 }
 
 Status Wal::CommitFlush(Lsn lsn) {
-  // First statement so every exit — poisoned, inline, per-commit, shutdown
-  // degrade, and both group modes — records into the histogram via RAII.
   ScopedTimer commit_timer(m_commit_flush_micros_);
-  MutexLock l(gc_mu_);
-  ++gc_stats_.commits;
   MetricAdd(m_commits_);
-  if (gc_poisoned_.load(std::memory_order_relaxed)) {
-    return gc_poison_status_;
-  }
-  switch (gc_options_.mode) {
-    case CommitFlushMode::kInline:
-      l.Unlock();
-      return FlushInternal(lsn, /*force_sync=*/false);
-    case CommitFlushMode::kPerCommit:
-      l.Unlock();
-      return FlushInternal(lsn, /*force_sync=*/true);
-    case CommitFlushMode::kLeader:
-    case CommitFlushMode::kFlusherThread:
-      break;
-  }
-  if (gc_shutdown_) {
-    // Engine is closing; degrade to an inline flush rather than block on a
-    // flusher that is gone.
-    l.Unlock();
-    return FlushInternal(lsn, /*force_sync=*/false);
-  }
-
-  ++gc_waiters_;
-  if (lsn > gc_max_requested_) gc_max_requested_ = lsn;
-  const uint64_t start_gen = gc_gen_;
-  if (gc_options_.hooks) gc_options_.hooks->OnCommitEnqueued(gc_waiters_, lsn);
-
-  Status result = Status::OK();
-  if (gc_options_.mode == CommitFlushMode::kFlusherThread) {
-    gc_work_ = true;
-    gc_flusher_cv_.NotifyOne();
-    // Wake when a flush covers us — or when a flush attempt that covered us
-    // fails, in which case its error fans out to the whole batch.
-    while (!(gc_durable_ >= lsn ||
-             (gc_fail_gen_ > start_gen && gc_fail_target_ >= lsn))) {
-      gc_waiter_cv_.Wait(l);
-    }
-    if (gc_fail_gen_ > start_gen && gc_fail_target_ >= lsn) {
-      // A shared flush attempt that covered this commit failed. Take the
-      // error even if a later attempt made the bytes durable (the flusher
-      // may re-sync an already-appended batch): every waiter of a failed
-      // batch reports failure and rolls back, and recovery resolves the
-      // durability ambiguity from the surviving log — the rollback's CLRs
-      // net out a commit record that did reach storage.
-      result = gc_fail_status_;
-    }
-  } else {
-    // kLeader: the first waiter to find no flush in progress flushes for
-    // the whole group; everyone else blocks until an outcome covers them.
-    // Failure coverage is checked first for the same reason as above: a
-    // failed attempt fans out to its whole batch even if a later attempt
-    // succeeded.
-    for (;;) {
-      if (gc_fail_gen_ > start_gen && gc_fail_target_ >= lsn) {
-        result = gc_fail_status_;
-        break;
-      }
-      if (gc_durable_ >= lsn) break;
-      if (!gc_flush_active_) {
-        gc_flush_active_ = true;
-        GroupFlushLocked(l);
-        gc_flush_active_ = false;
-        // Loop to evaluate our own fate against the published outcome.
-      } else {
-        gc_waiter_cv_.Wait(l);
-      }
-    }
-  }
-  --gc_waiters_;
-  if (gc_waiters_ == 0) gc_flusher_cv_.NotifyAll();
-  return result;
-}
-
-// REQUIRES(gc_mu_) is enforced at call sites; the body's unlock/relock of
-// the caller-held lock is opted out of the static analysis (see wal.h).
-void Wal::GroupFlushLocked(MutexLock& l) TENDAX_NO_THREAD_SAFETY_ANALYSIS {
-  const uint64_t index = ++gc_flush_seq_;
-  GroupCommitHooks* hooks = gc_options_.hooks.get();
-  if (hooks != nullptr) {
-    const size_t announced_waiters = gc_waiters_;
-    const Lsn announced_target = gc_max_requested_;
-    l.Unlock();  // the hook may block (it is the test pause gate)
-    hooks->OnGroupFlushStart(index, announced_waiters, announced_target);
-    l.Lock();
-  }
-  // Snapshot after the hook gate so commits that piled up while a test held
-  // the flusher paused belong to this attempt's outcome (success or error).
-  const Lsn target = gc_max_requested_;
-  const size_t batch = gc_waiters_;
-  l.Unlock();
-  Status st = FlushInternal(target, /*force_sync=*/false);
-  if (hooks != nullptr) hooks->OnGroupFlushEnd(index, st);
-  const Lsn durable = flushed_lsn();
-  l.Lock();
-  ++gc_gen_;
-  ++gc_stats_.group_flushes;
-  if (batch > gc_stats_.max_batch) gc_stats_.max_batch = batch;
-  MetricAdd(m_group_flushes_);
-  MetricMax(m_max_batch_, static_cast<int64_t>(batch));
-  MetricRecord(m_batch_size_, batch);
-  if (st.ok()) {
-    if (durable > gc_durable_) gc_durable_ = durable;
-  } else {
-    ++gc_stats_.failed_flushes;
-    MetricAdd(m_failed_flushes_);
-    gc_fail_gen_ = gc_gen_;
-    gc_fail_target_ = target;
-    gc_fail_status_ = st;
-    if (gc_options_.early_lock_release &&
-        !gc_poisoned_.load(std::memory_order_relaxed)) {
-      // The waiters of this batch released their locks when they appended
-      // their commit records, so other transactions may already have built
-      // on writes we now cannot make durable — rolling the batch back
-      // in place would be unsound. Fail-stop instead: every further
-      // Append/CommitFlush returns this error, and reopen + recovery
-      // re-establishes a consistent state from whatever the log retained.
-      gc_poison_status_ = st;
-      gc_poisoned_.store(true, std::memory_order_release);
-      // Fail-stop covers every waiter currently parked, not just the ones
-      // the failed attempt targeted — no later attempt may hand any of
-      // them a success once the pipeline is poisoned.
-      if (gc_max_requested_ > gc_fail_target_) {
-        gc_fail_target_ = gc_max_requested_;
-      }
-    }
-  }
-  gc_waiter_cv_.NotifyAll();
-}
-
-void Wal::FlusherLoop() {
-  MutexLock l(gc_mu_);
-  for (;;) {
-    while (!(gc_shutdown_ || gc_work_)) gc_flusher_cv_.Wait(l);
-    if (gc_shutdown_) {
-      // Drain: every remaining waiter gets an outcome (durable or the
-      // fanned-out flush error) before the thread exits.
-      while (gc_waiters_ > 0) {
-        gc_work_ = false;
-        GroupFlushLocked(l);
-        while (!(gc_waiters_ == 0 || gc_work_)) gc_flusher_cv_.Wait(l);
-      }
-      return;
-    }
-    // Batching window: give concurrent committers a beat to pile on before
-    // paying the fsync, unless the batch is already full.
-    if (gc_options_.flush_interval.count() > 0 &&
-        gc_waiters_ < gc_options_.max_batch_waiters) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + gc_options_.flush_interval;
-      while (!(gc_shutdown_ ||
-               gc_waiters_ >= gc_options_.max_batch_waiters)) {
-        if (gc_flusher_cv_.WaitUntil(l, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-    }
-    gc_work_ = false;
-    if (gc_waiters_ > 0) GroupFlushLocked(l);
-  }
-}
-
-void Wal::Shutdown() {
-  {
-    MutexLock l(gc_mu_);
-    gc_shutdown_ = true;
-  }
-  gc_flusher_cv_.NotifyAll();
-  if (flusher_.joinable()) flusher_.join();
-}
-
-Status Wal::poison_status() const {
-  MutexLock l(gc_mu_);
-  return gc_poisoned_.load(std::memory_order_relaxed) ? gc_poison_status_
-                                                      : Status::OK();
-}
-
-WalGroupCommitStats Wal::group_commit_stats() const {
-  WalGroupCommitStats out;
-  {
-    MutexLock l(gc_mu_);
-    out = gc_stats_;
-  }
-  MutexLock l(mu_);
-  out.syncs = syncs_issued_;
-  return out;
+  return FlushInternal(lsn);
 }
 
 Lsn Wal::next_lsn() const {

@@ -2,11 +2,63 @@
 
 #include <sstream>
 
+#include "util/logging.h"
+
 namespace tendax {
+
+/// The decorator behind `ScheduleController::GateLog`: every Append passes
+/// the controller's flush gate, everything else forwards unchanged.
+class GatedLogStorage : public LogStorage {
+ public:
+  GatedLogStorage(std::shared_ptr<LogStorage> inner, ScheduleController* sched)
+      : inner_(std::move(inner)), sched_(sched) {}
+
+  Status Append(const Slice& data) override {
+    sched_->OnFlush();
+    return inner_->Append(data);
+  }
+  Status Sync() override { return inner_->Sync(); }
+  Status ReadAll(std::string* out) override { return inner_->ReadAll(out); }
+  Status Truncate() override { return inner_->Truncate(); }
+  uint64_t current_segment() const override {
+    return inner_->current_segment();
+  }
+  std::vector<uint64_t> SegmentIds() const override {
+    return inner_->SegmentIds();
+  }
+  uint64_t SegmentBytes(uint64_t id) const override {
+    return inner_->SegmentBytes(id);
+  }
+  Status ReadSegment(uint64_t id, std::string* out) override {
+    return inner_->ReadSegment(id, out);
+  }
+  Status RotateSegment(uint64_t* new_id) override {
+    return inner_->RotateSegment(new_id);
+  }
+  Status DropSegment(uint64_t id, uint64_t* bytes_freed) override {
+    return inner_->DropSegment(id, bytes_freed);
+  }
+
+ private:
+  std::shared_ptr<LogStorage> inner_;
+  ScheduleController* const sched_;
+};
+
+std::shared_ptr<LogStorage> ScheduleController::GateLog(
+    std::shared_ptr<LogStorage> inner,
+    std::shared_ptr<MetricsRegistry> metrics) {
+  Counter* commits = metrics->counter("wal.commits");
+  MutexLock lock(mu_);
+  commits_ = commits;
+  metrics_ = std::move(metrics);
+  return std::make_shared<GatedLogStorage>(std::move(inner), this);
+}
 
 void ScheduleController::PauseAtFlush(uint64_t n) {
   MutexLock lock(mu_);
+  TENDAX_CHECK(commits_ != nullptr);  // GateLog comes first
   pause_at_.insert(n);
+  commits_at_pause_ = commits_->Value();
 }
 
 uint64_t ScheduleController::PickFlush(uint64_t lo, uint64_t hi) {
@@ -22,36 +74,31 @@ bool ScheduleController::WaitUntilPaused(std::chrono::milliseconds timeout) {
 
 bool ScheduleController::WaitForWaiters(size_t k,
                                         std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(mu_);
-  return cv_.WaitFor(lock, timeout, [&] { return waiters_now_ >= k; });
+  // Nothing signals a commit, so poll the counter.
+  while (commits_->Value() < commits_at_pause_ + k) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    (void)cv_.WaitFor(lock, std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 void ScheduleController::ReleaseFlush() {
   MutexLock lock(mu_);
-  if (started_ > released_through_) released_through_ = started_;
+  pause_at_.clear();
   cv_.NotifyAll();
 }
 
-uint64_t ScheduleController::flushes_started() const {
+uint64_t ScheduleController::flushes_seen() const {
   MutexLock lock(mu_);
   return started_;
-}
-
-uint64_t ScheduleController::flushes_finished() const {
-  MutexLock lock(mu_);
-  return finished_;
-}
-
-size_t ScheduleController::max_waiters_seen() const {
-  MutexLock lock(mu_);
-  return max_waiters_;
 }
 
 std::string ScheduleController::Describe() const {
   MutexLock lock(mu_);
   std::ostringstream out;
-  out << "ScheduleController{seed=" << seed_ << ", flushes=" << finished_
-      << "/" << started_ << ", max_waiters=" << max_waiters_;
+  out << "ScheduleController{seed=" << seed_ << ", flushes=" << started_;
   if (!pause_at_.empty()) {
     out << ", pause_at=";
     bool first = true;
@@ -64,38 +111,14 @@ std::string ScheduleController::Describe() const {
   return out.str();
 }
 
-void ScheduleController::OnCommitEnqueued(size_t waiters, Lsn lsn) {
-  (void)lsn;
+void ScheduleController::OnFlush() {
   MutexLock lock(mu_);
-  // `waiters` is the live group size at enqueue time. Committers leaving
-  // after a flush are not observed, so this is only exact while the gate is
-  // closed — which is exactly when WaitForWaiters is used.
-  waiters_now_ = waiters;
-  if (waiters > max_waiters_) max_waiters_ = waiters;
+  const uint64_t index = ++started_;
+  if (pause_at_.count(index) == 0) return;
+  paused_ = true;
   cv_.NotifyAll();
-}
-
-void ScheduleController::OnGroupFlushStart(uint64_t flush_index,
-                                           size_t waiters, Lsn target) {
-  (void)waiters;
-  (void)target;
-  MutexLock lock(mu_);
-  started_ = flush_index;
-  if (pause_at_.count(flush_index) != 0 && released_through_ < flush_index) {
-    paused_ = true;
-    cv_.NotifyAll();
-    cv_.Wait(lock, [&] { return released_through_ >= flush_index; });
-    paused_ = false;
-  }
-}
-
-void ScheduleController::OnGroupFlushEnd(uint64_t flush_index,
-                                         const Status& status) {
-  (void)status;
-  MutexLock lock(mu_);
-  finished_ = flush_index;
-  waiters_now_ = 0;
-  cv_.NotifyAll();
+  cv_.Wait(lock, [&] { return pause_at_.count(index) == 0; });
+  paused_ = false;
 }
 
 void ScheduleController::PauseAtCheckpoint(uint64_t checkpoint_index,

@@ -3,36 +3,44 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "db/checkpointer.h"
+#include "obs/metrics.h"
 #include "storage/wal.h"
 #include "util/mutex.h"
 #include "util/random.h"
 
 namespace tendax {
 
-/// A seeded concurrency-schedule controller for the group-commit pipeline.
+/// A seeded concurrency-schedule controller for the commit path.
 ///
-/// Plugged into `GroupCommitOptions::hooks`, it lets a test pause the
-/// flusher (background thread or leader committer) at chosen coalesced
-/// flush indices, pile up concurrent committers and storage faults behind
-/// the closed gate, and then release the flush into the prepared
-/// interleaving. Combined with `FaultPlan`'s op-index machinery this makes
-/// schedules like "commit waiting when the crash fires", "batch torn
-/// mid-append" and "flush error fans out to K waiters" deterministic.
+/// `GateLog` wraps the database's `LogStorage` so that every log append
+/// first passes the controller's flush gate. The WAL issues that append
+/// from inside its single flush slot, so a flush parked at the gate keeps
+/// the slot: every later committer queues behind it, and their commit
+/// records all wait in the log buffer for the next flush. A test can pile
+/// up K concurrent committers and arm storage faults behind the closed
+/// gate, then release the flush into the prepared interleaving. Combined
+/// with `FaultPlan`'s op-index machinery this makes schedules like "commit
+/// waiting when the crash fires" and "batch torn mid-append"
+/// deterministic.
 ///
 /// Control flow of a typical test:
 ///
 ///   auto sched = std::make_shared<ScheduleController>(seed);
-///   sched->PauseAtFlush(1);                  // gate the first group flush
+///   options.metrics = std::make_shared<MetricsRegistry>();
+///   options.log_storage = sched->GateLog(log, options.metrics);
+///   ... open the database ...
+///   sched->PauseAtFlush(sched->flushes_seen() + 1);  // gate the next flush
 ///   ... start K committing threads ...
-///   ASSERT_TRUE(sched->WaitForWaiters(K));   // all K are enqueued
+///   ASSERT_TRUE(sched->WaitUntilPaused());    // one flush holds the slot
+///   ASSERT_TRUE(sched->WaitForWaiters(K));    // all K are committing
 ///   plan->FailNthSync(plan->syncs_seen() + 1);
-///   sched->ReleaseFlush();                   // open the gate
-///   ... join threads, assert the fan-out ...
+///   sched->ReleaseFlush();                    // open the gate
 ///
 /// Thread-safe. `seed` only drives `PickFlush` and is echoed by
 /// `Describe()` so failures are reproducible.
@@ -43,16 +51,25 @@ namespace tendax {
 /// or storage faults against a checkpoint frozen mid-pipeline, then release
 /// it — e.g. "transaction begins after the ATT snapshot", "power is lost
 /// between the end record and truncation".
-class ScheduleController : public GroupCommitHooks, public CheckpointHooks {
+class ScheduleController : public CheckpointHooks {
  public:
   explicit ScheduleController(uint64_t seed = 1) : seed_(seed), rng_(seed) {}
 
   uint64_t seed() const { return seed_; }
 
+  /// Wraps `inner` so each `Append` passes the flush gate first; plug the
+  /// result into `DatabaseOptions::log_storage`. `metrics` must be the
+  /// registry the database is opened with (`DatabaseOptions::metrics`):
+  /// WaitForWaiters reads its `wal.commits` counter. The controller must
+  /// outlive the returned storage.
+  std::shared_ptr<LogStorage> GateLog(std::shared_ptr<LogStorage> inner,
+                                      std::shared_ptr<MetricsRegistry> metrics);
+
   // --- scheduling (call before / between flushes) ---
 
-  /// Gates coalesced flush attempt number `n` (1-based): the flusher blocks
-  /// in its start hook until `ReleaseFlush()`.
+  /// Gates flush number `n` (1-based), counting every log append through
+  /// `GateLog` storage — i.e. every flush that had new bytes to write. The
+  /// flush blocks, holding the WAL's flush slot, until `ReleaseFlush()`.
   void PauseAtFlush(uint64_t n);
 
   /// Seeded inclusive pick in [lo, hi] for choosing a flush index to gate.
@@ -60,18 +77,20 @@ class ScheduleController : public GroupCommitHooks, public CheckpointHooks {
 
   // --- control (test side) ---
 
-  /// Blocks until the flusher is parked at a gated flush. False on timeout.
+  /// Blocks until a flush is parked at a gate. False on timeout.
   bool WaitUntilPaused(
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-  /// Blocks until at least `k` committers are enqueued behind the group
-  /// (as observed by enqueue hooks). False on timeout.
+  /// Blocks until at least `k` commits have entered `Wal::CommitFlush`
+  /// (the `wal.commits` counter) since the last `PauseAtFlush` call. While
+  /// the gate is closed, each of them is parked at it or queued behind it.
+  /// False on timeout.
   bool WaitForWaiters(
       size_t k,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-  /// Opens the gate for the currently parked flush (and, if the released
-  /// index was the only scheduled pause, lets later flushes run freely).
+  /// Opens every flush gate: the parked flush (if any) proceeds, and gates
+  /// not reached yet are dropped, so nothing can park after this call.
   void ReleaseFlush();
 
   /// Gates fuzzy checkpoint number `checkpoint_index` (1-based) at `phase`:
@@ -89,20 +108,11 @@ class ScheduleController : public GroupCommitHooks, public CheckpointHooks {
 
   // --- observation ---
 
-  uint64_t flushes_started() const;
-  uint64_t flushes_finished() const;
-  /// Largest waiter group observed at any enqueue.
-  size_t max_waiters_seen() const;
+  /// Flushes (log appends) that have reached the gate so far.
+  uint64_t flushes_seen() const;
   /// One-line reproduction recipe, e.g.
-  /// "ScheduleController{seed=7, flushes=3/3, max_waiters=8}".
+  /// "ScheduleController{seed=7, flushes=3, pause_at=4}".
   std::string Describe() const;
-
-  // --- GroupCommitHooks ---
-
-  void OnCommitEnqueued(size_t waiters, Lsn lsn) override;
-  void OnGroupFlushStart(uint64_t flush_index, size_t waiters,
-                         Lsn target) override;
-  void OnGroupFlushEnd(uint64_t flush_index, const Status& status) override;
 
   // --- CheckpointHooks ---
 
@@ -110,24 +120,28 @@ class ScheduleController : public GroupCommitHooks, public CheckpointHooks {
                          CheckpointPhase phase) override;
 
  private:
+  friend class GatedLogStorage;
+
+  /// The flush gate, run by GatedLogStorage before each append.
+  void OnFlush();
+
   const uint64_t seed_;
 
-  // The flush hooks run on WAL threads that may hold group-commit state;
-  // this lock guards only the gate bookkeeping (the parked flusher waits on
-  // cv_ holding nothing else), hence leaf rank.
+  // The gate runs on a flushing thread that may hold the buffer pool mutex
+  // (write-ahead flush); this lock guards only the gate bookkeeping (the
+  // parked flush waits on cv_ holding nothing else), hence leaf rank.
   mutable Mutex mu_{"schedule.mu", lockorder::kRankLeaf};
   CondVar cv_;
   Random rng_ TENDAX_GUARDED_BY(mu_);
   std::set<uint64_t> pause_at_
       TENDAX_GUARDED_BY(mu_);  // flush indices with a closed gate
   bool paused_ TENDAX_GUARDED_BY(mu_) =
-      false;  // flusher is parked at a gate right now
-  uint64_t released_through_ TENDAX_GUARDED_BY(mu_) =
-      0;  // gates at or below this index are open
+      false;  // a flush is parked at a gate right now
   uint64_t started_ TENDAX_GUARDED_BY(mu_) = 0;
-  uint64_t finished_ TENDAX_GUARDED_BY(mu_) = 0;
-  size_t waiters_now_ TENDAX_GUARDED_BY(mu_) = 0;
-  size_t max_waiters_ TENDAX_GUARDED_BY(mu_) = 0;
+  // `wal.commits` of the gated database, and its value at PauseAtFlush.
+  std::shared_ptr<MetricsRegistry> metrics_ TENDAX_GUARDED_BY(mu_);
+  const Counter* commits_ TENDAX_GUARDED_BY(mu_) = nullptr;
+  uint64_t commits_at_pause_ TENDAX_GUARDED_BY(mu_) = 0;
 
   // Checkpoint gate, mirroring the flush gate above. (index, phase) pairs
   // with a closed gate; each is erased when its pause fires.

@@ -26,11 +26,9 @@ Transaction* TxnManager::Begin(UserId user, TxnMode mode) {
     LogRecord rec;
     rec.type = LogType::kBegin;
     rec.txn = id;
-    auto lsn = wal_->Append(&rec);
-    if (lsn.ok()) {
-      raw->set_prev_lsn(*lsn);
-      raw->first_lsn_ = *lsn;
-    }
+    const Lsn lsn = wal_->Append(&rec);
+    raw->set_prev_lsn(lsn);
+    raw->first_lsn_ = lsn;
   }
   {
     MutexLock lock(mu_);
@@ -44,56 +42,22 @@ Transaction* TxnManager::Begin(UserId user, TxnMode mode) {
 
 Status TxnManager::Commit(Transaction* txn) {
   TENDAX_CHECK(txn->state() == TxnState::kActive);
-  // First statement after the precondition so every exit — append failure,
-  // early-release flush failure, group-flush failure, and success — records
-  // commit latency via RAII.
+  // First statement after the precondition so every exit — flush failure
+  // and success — records commit latency via RAII.
   ScopedTimer commit_timer(m_commit_micros_);
   if (wal_ != nullptr && !txn->read_only()) {
     LogRecord rec;
     rec.type = LogType::kCommit;
     rec.txn = txn->id();
     rec.prev_lsn = txn->prev_lsn();
-    auto lsn = wal_->Append(&rec);
-    if (!lsn.ok()) {
-      // The append failure is what the caller must see; the rollback's own
-      // status (best-effort on a failing log) would only mask it.
-      (void)Abort(txn);
-      return lsn.status();
-    }
+    const Lsn lsn = wal_->Append(&rec);
     if (sync_commit_) {
-      bool early_released = false;
-      if (wal_->ReleasesLocksEarly()) {
-        // Early lock release: the commit record has its place in the log,
-        // and group-commit durability is a prefix of commit-LSN order, so
-        // any transaction that builds on these writes commits strictly
-        // later and can never outlive this one across a crash. Releasing
-        // now lets the next writer of a hot document run while this commit
-        // waits for the shared fsync — without it, a document-level X lock
-        // serializes committers through the flush and there is never a
-        // group to coalesce.
-        locks_->ReleaseAll(txn->id());
-        early_released = true;
-      }
-      Status flushed = wal_->CommitFlush(*lsn);
+      // Strict 2PL: locks are held through the flush, so a failed flush
+      // can roll back in place — effects undone, locks released, no
+      // listeners run. Whether the commit record reached durable storage
+      // is ambiguous; recovery resolves it from the surviving log.
+      Status flushed = wal_->CommitFlush(lsn);
       if (!flushed.ok()) {
-        if (early_released) {
-          // Locks are gone, so another transaction may already have built
-          // on this one's writes — in-place undo would be unsound. The Wal
-          // has fail-stopped (poisoned) itself: no further commit can
-          // succeed, and reopen + recovery re-establishes consistency from
-          // whatever the log retained. Finalize without undo so no locks
-          // or transaction slots leak.
-          Finalize(txn, TxnState::kAborted);
-          MutexLock lock(mu_);
-          ++stats_.aborted;
-          MetricAdd(m_aborted_);
-          return flushed;
-        }
-        // The flush may have been shared with other committers (group
-        // commit); its error fans out to every waiter of the batch, and
-        // each one rolls back here — effects undone, locks released, no
-        // listeners run. Whether the commit record reached durable storage
-        // is ambiguous; recovery resolves it from the surviving log.
         (void)Abort(txn);
         return flushed;
       }
@@ -106,14 +70,12 @@ Status TxnManager::Commit(Transaction* txn) {
 
   Finalize(txn, TxnState::kCommitted);
 
-  std::vector<CommitListener> listeners;
   {
     MutexLock lock(mu_);
     ++stats_.committed;
     MetricAdd(m_committed_);
-    listeners = listeners_;
   }
-  for (const auto& listener : listeners) {
+  for (const auto& listener : listeners_) {
     listener(id, user, events);
   }
   return Status::OK();
@@ -122,13 +84,11 @@ Status TxnManager::Commit(Transaction* txn) {
 Status TxnManager::Abort(Transaction* txn) {
   TENDAX_CHECK(txn->state() == TxnState::kActive);
   // Undo the write set in reverse order, logging a compensation record per
-  // undone change so that a crash mid-abort recovers correctly. I/O failures
-  // (the log device going down mid-abort, a page read error) degrade to
-  // best-effort unlogged undo: the transaction is always finalized so locks
-  // never leak, and crash recovery re-runs any missed undo from the
-  // surviving log suffix.
+  // undone change so that a crash mid-abort recovers correctly. A failed
+  // undo step (a page read error) degrades to best-effort undo: the
+  // transaction is always finalized so locks never leak, and crash recovery
+  // re-runs any missed undo from the surviving log suffix.
   Status first_error = Status::OK();
-  bool wal_ok = wal_ != nullptr;
   const auto& writes = txn->write_set();
   for (auto it = writes.rbegin(); it != writes.rend(); ++it) {
     UpdateOp inverse;
@@ -150,7 +110,7 @@ Status TxnManager::Abort(Transaction* txn) {
         return Status::Internal("unknown op in write set");
     }
     Lsn clr_lsn = kInvalidLsn;
-    if (wal_ok) {
+    if (wal_ != nullptr) {
       LogRecord clr;
       clr.type = LogType::kCompensation;
       clr.txn = txn->id();
@@ -160,14 +120,8 @@ Status TxnManager::Abort(Transaction* txn) {
       clr.rid = it->rid;
       clr.after = *image;
       clr.undo_next_lsn = it->lsn;
-      auto lsn = wal_->Append(&clr);
-      if (!lsn.ok()) {
-        if (first_error.ok()) first_error = lsn.status();
-        wal_ok = false;
-      } else {
-        clr_lsn = *lsn;
-        txn->set_prev_lsn(clr_lsn);
-      }
+      clr_lsn = wal_->Append(&clr);
+      txn->set_prev_lsn(clr_lsn);
     }
     if (applier_ != nullptr) {
       Status applied = applier_->ApplyChange(it->table_id, inverse, it->rid,
@@ -175,13 +129,12 @@ Status TxnManager::Abort(Transaction* txn) {
       if (!applied.ok() && first_error.ok()) first_error = applied;
     }
   }
-  if (wal_ok && !txn->read_only()) {
+  if (wal_ != nullptr && !txn->read_only()) {
     LogRecord rec;
     rec.type = LogType::kAbort;
     rec.txn = txn->id();
     rec.prev_lsn = txn->prev_lsn();
-    auto lsn = wal_->Append(&rec);
-    if (!lsn.ok() && first_error.ok()) first_error = lsn.status();
+    wal_->Append(&rec);
   }
   // Undo non-logged side effects (index entries etc.) in reverse order.
   const auto& actions = txn->rollback_actions();
@@ -234,7 +187,9 @@ Status TxnManager::RunSnapshotRead(
 }
 
 void TxnManager::AddCommitListener(CommitListener listener) {
-  MutexLock lock(mu_);
+  // Commit reads listeners_ without a lock, so registration must not race
+  // a commit: it is legal only while no transaction is in flight.
+  TENDAX_CHECK(ActiveCount() == 0);
   listeners_.push_back(std::move(listener));
 }
 
@@ -256,9 +211,7 @@ Result<Lsn> TxnManager::LogUpdate(Transaction* txn, UpdateOp op,
     rec.rid = rid;
     rec.before = before;
     rec.after = after;
-    auto res = wal_->Append(&rec);
-    if (!res.ok()) return res.status();
-    lsn = *res;
+    lsn = wal_->Append(&rec);
     txn->set_prev_lsn(lsn);
   }
   txn->AddWrite(WriteEntry{op, table_id, rid, std::move(before),

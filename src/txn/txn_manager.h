@@ -56,11 +56,11 @@ class TxnManager {
   /// `LogUpdate`.
   Transaction* Begin(UserId user, TxnMode mode = TxnMode::kReadWrite);
 
-  /// Commits: appends the commit record, waits for its (possibly group)
-  /// flush, releases locks, then publishes the transaction's change events
-  /// to commit listeners. On a failed append or flush the transaction is
-  /// rolled back before returning — callers must not touch `txn` after a
-  /// Commit call regardless of the outcome.
+  /// Commits: appends the commit record, waits for its flush (which may
+  /// cover other commits too), releases locks, then publishes the
+  /// transaction's change events to commit listeners. On a failed flush
+  /// the transaction is rolled back before returning — callers must not
+  /// touch `txn` after a Commit call regardless of the outcome.
   Status Commit(Transaction* txn);
 
   /// Aborts: undoes the write set in reverse order through the applier
@@ -79,6 +79,11 @@ class TxnManager {
                          const std::function<Status(Transaction*)>& body);
 
   void SetChangeApplier(ChangeApplier* applier) { applier_ = applier; }
+  /// Registers a listener run after every durable commit, in registration
+  /// order. Setup-only: listeners register while the engine is being
+  /// opened (`TendaxServer::Open`), before any concurrent use, and never
+  /// change afterwards. Registering while a transaction is in flight is a
+  /// fatal error.
   void AddCommitListener(CommitListener listener);
 
   /// Appends an update record for `txn` and returns its LSN; maintains the
@@ -111,11 +116,13 @@ class TxnManager {
 
   std::atomic<uint64_t> next_txn_id_{1};
   // Registry bookkeeping only: never held across wal_ / locks_ / listener
-  // calls (listeners run on a copy taken under the lock).
+  // calls.
   mutable Mutex mu_{"txnmgr.mu", lockorder::kRankTxn};
   std::unordered_map<uint64_t, std::unique_ptr<Transaction>> active_
       TENDAX_GUARDED_BY(mu_);
-  std::vector<CommitListener> listeners_ TENDAX_GUARDED_BY(mu_);
+  // Written only during setup, before concurrent use (see
+  // AddCommitListener), so Commit iterates it without a lock or a copy.
+  std::vector<CommitListener> listeners_;
   TxnManagerStats stats_ TENDAX_GUARDED_BY(mu_);
 
   // Registry mirrors of stats_ (null without a registry).

@@ -17,7 +17,7 @@ namespace lockorder {
 
 // Runtime lock-order validation. Every named `tendax::Mutex` /
 // `tendax::SharedMutex` (util/mutex.h) registers a graph node interned by
-// name, so all instances of e.g. "wal.gc" share one node. While validation
+// name, so all instances of e.g. "wal.mu" share one node. While validation
 // is enabled, each acquisition
 //   1. checks declared ranks: acquiring a mutex whose rank is *lower* than
 //      a ranked mutex already held is an inversion — reported immediately,
@@ -62,7 +62,6 @@ inline constexpr int kRankLock = 90;          // txn/lock_manager
 inline constexpr int kRankBufferPool = 95;    // storage/buffer_pool: holds
                                               // its mutex across the
                                               // write-ahead WAL flush
-inline constexpr int kRankWalGroup = 100;     // storage/wal gc_mu_
 inline constexpr int kRankWal = 110;          // storage/wal mu_
 inline constexpr int kRankDisk = 130;         // storage/disk_manager, log
 inline constexpr int kRankLeaf = 200;         // metrics, testing hooks: no

@@ -156,12 +156,10 @@ LogRecord UpdateRecord(uint64_t txn, const std::string& payload) {
 
 TEST(WalSegmentationTest, SizeBasedRotationKeepsAllRecordsReadable) {
   auto storage = std::make_shared<InMemoryLogStorage>();
-  Wal wal(storage, GroupCommitOptions{}, nullptr, /*segment_bytes=*/256);
+  Wal wal(storage, nullptr, /*segment_bytes=*/256);
   for (int i = 0; i < 40; ++i) {
     LogRecord rec = UpdateRecord(1, std::string(32, 'a' + i % 26));
-    auto lsn = wal.Append(&rec);
-    ASSERT_TRUE(lsn.ok());
-    ASSERT_TRUE(wal.Flush(*lsn).ok());
+    ASSERT_TRUE(wal.Flush(wal.Append(&rec)).ok());
   }
   EXPECT_GT(wal.SegmentCount(), 2u) << "size-based rotation never fired";
   std::vector<LogRecord> records;
@@ -174,12 +172,12 @@ TEST(WalSegmentationTest, SizeBasedRotationKeepsAllRecordsReadable) {
 
 TEST(WalSegmentationTest, TruncateDropsOnlyWholeSegmentsBelowBound) {
   auto storage = std::make_shared<InMemoryLogStorage>();
-  Wal wal(storage, GroupCommitOptions{}, nullptr, /*segment_bytes=*/0);
+  Wal wal(storage, nullptr, /*segment_bytes=*/0);
   // Three segments of 5 records each: [1..5][6..10][11..] (last current).
   for (int seg = 0; seg < 3; ++seg) {
     for (int i = 0; i < 5; ++i) {
       LogRecord rec = UpdateRecord(1, "payload");
-      ASSERT_TRUE(wal.Append(&rec).ok());
+      wal.Append(&rec);
     }
     ASSERT_TRUE(wal.FlushAll().ok());
     if (seg < 2) {
@@ -211,31 +209,29 @@ TEST(WalSegmentationTest, TruncateDropsOnlyWholeSegmentsBelowBound) {
 TEST(WalSegmentationTest, ReopenToleratesTornTailInCurrentSegmentOnly) {
   auto storage = std::make_shared<InMemoryLogStorage>();
   {
-    Wal wal(storage, GroupCommitOptions{}, nullptr, 0);
+    Wal wal(storage, nullptr, 0);
     for (int i = 0; i < 4; ++i) {
       LogRecord rec = UpdateRecord(1, "payload");
-      ASSERT_TRUE(wal.Append(&rec).ok());
+      wal.Append(&rec);
     }
     ASSERT_TRUE(wal.FlushAll().ok());
     ASSERT_TRUE(wal.RotateSegmentNow().ok());
     for (int i = 0; i < 4; ++i) {
       LogRecord rec = UpdateRecord(1, "payload");
-      ASSERT_TRUE(wal.Append(&rec).ok());
+      wal.Append(&rec);
     }
     ASSERT_TRUE(wal.FlushAll().ok());
   }
   // Tear the current segment's tail: chop 3 bytes off its last record.
   storage->CorruptTail(storage->SegmentBytes(storage->current_segment()) - 3);
-  Wal reopened(storage, GroupCommitOptions{}, nullptr, 0);
+  Wal reopened(storage, nullptr, 0);
   std::vector<LogRecord> records;
   ASSERT_TRUE(reopened.ReadAll(&records).ok());
   ASSERT_EQ(records.size(), 7u) << "exactly the torn record is dropped";
   EXPECT_EQ(reopened.next_lsn(), 8u);
   // Appending after the reopen continues the sequence cleanly.
   LogRecord after = UpdateRecord(2, "after");
-  auto lsn = reopened.Append(&after);
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_EQ(*lsn, 8u);
+  EXPECT_EQ(reopened.Append(&after), 8u);
 }
 
 // ---------- Database-level checkpoint fixtures ----------

@@ -65,16 +65,10 @@ std::string ApplyToShadow(const std::string& text, const TypingAction& a) {
 // fault-injecting wrappers around `disk`/`log`. Stops at the first failed
 // edit (under a crash plan every later I/O fails anyway). The server is
 // destroyed before returning, modeling the process dying.
-//
-// `mode` selects the commit-flush path, so the same sweep covers per-commit
-// flushing and both group-commit flavors. The flusher only runs when
-// commits wait and the batching window is zero, so the I/O op sequence of
-// this single-writer workload stays deterministic in every mode.
 RunOutcome RunWorkload(const std::shared_ptr<DiskManager>& disk,
                        const std::shared_ptr<LogStorage>& log,
                        const std::shared_ptr<FaultPlan>& plan,
-                       uint64_t workload_seed, size_t num_ops,
-                       CommitFlushMode mode = CommitFlushMode::kInline) {
+                       uint64_t workload_seed, size_t num_ops) {
   RunOutcome out;
   TendaxOptions options;
   options.db.disk = std::make_shared<FaultInjectingDiskManager>(disk, plan);
@@ -82,8 +76,6 @@ RunOutcome RunWorkload(const std::shared_ptr<DiskManager>& disk,
       std::make_shared<FaultInjectingLogStorage>(log, plan);
   options.db.buffer_pool_pages = kPoolPages;
   options.db.clock = std::make_shared<ManualClock>(1'000'000'000, 1000);
-  options.db.group_commit.mode = mode;
-  options.db.group_commit.flush_interval = std::chrono::microseconds(0);
   auto server = TendaxServer::Open(std::move(options));
   if (!server.ok()) return out;  // crashed during open/recovery
   auto user = (*server)->accounts()->CreateUser("torture");
@@ -208,12 +200,11 @@ struct Profile {
   uint64_t syncs = 0;
 };
 
-Profile ProfileWorkload(uint64_t workload_seed, size_t num_ops,
-                        CommitFlushMode mode = CommitFlushMode::kInline) {
+Profile ProfileWorkload(uint64_t workload_seed, size_t num_ops) {
   auto disk = std::make_shared<InMemoryDiskManager>();
   auto log = std::make_shared<InMemoryLogStorage>();
   auto plan = std::make_shared<FaultPlan>(workload_seed);
-  RunOutcome probe = RunWorkload(disk, log, plan, workload_seed, num_ops, mode);
+  RunOutcome probe = RunWorkload(disk, log, plan, workload_seed, num_ops);
   EXPECT_TRUE(probe.setup_ok) << "fault-free setup failed";
   EXPECT_FALSE(probe.has_ambiguous) << "fault-free run must not fail";
   VerifyRecovered(disk, log, probe, "fault-free baseline");
@@ -293,49 +284,6 @@ TEST(CrashTortureTest, CrashPointSweepRecoversEverywhere) {
   }
   EXPECT_GE(tested, std::min<uint64_t>(100, target_points))
       << "sweep covered too few crash points";
-}
-
-// The same full crash-point sweep with group commit enabled: commits block
-// on a coalesced flush (leader committer or background flusher thread)
-// instead of flushing inline, and every crash point must still recover to
-// the shadow model. This is the satellite requirement that the torture
-// sweep runs with group commit on at >= 100 crash points.
-void SweepWithMode(CommitFlushMode mode, const char* mode_name) {
-  const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
-  const uint64_t target_points = EnvU64("TENDAX_TORTURE_POINTS", 120);
-  const size_t num_ops = static_cast<size_t>(EnvU64("TENDAX_TORTURE_OPS", 90));
-
-  Profile profile = ProfileWorkload(seed, num_ops, mode);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-  ASSERT_GE(profile.total_ops, target_points)
-      << "workload too small to yield " << target_points << " crash points";
-
-  const uint64_t stride =
-      std::max<uint64_t>(1, profile.total_ops / target_points);
-  uint64_t tested = 0;
-  for (uint64_t k = 1; k <= profile.total_ops; k += stride) {
-    auto disk = std::make_shared<InMemoryDiskManager>();
-    auto log = std::make_shared<InMemoryLogStorage>();
-    auto plan = std::make_shared<FaultPlan>(seed);
-    plan->CrashAtOp(k);
-    RunOutcome run = RunWorkload(disk, log, plan, seed, num_ops, mode);
-    std::string context = std::string(mode_name) + " crash@" +
-                          std::to_string(k) + " " + plan->Describe() +
-                          " workload_seed=" + std::to_string(seed);
-    VerifyRecovered(disk, log, run, context);
-    ++tested;
-    if (::testing::Test::HasFailure()) break;  // first failing point only
-  }
-  EXPECT_GE(tested, std::min<uint64_t>(100, target_points))
-      << "sweep covered too few crash points";
-}
-
-TEST(CrashTortureTest, CrashPointSweepRecoversEverywhereLeaderGroupCommit) {
-  SweepWithMode(CommitFlushMode::kLeader, "group-commit/leader");
-}
-
-TEST(CrashTortureTest, CrashPointSweepRecoversEverywhereFlusherGroupCommit) {
-  SweepWithMode(CommitFlushMode::kFlusherThread, "group-commit/flusher");
 }
 
 // Randomized torture: seeded random fault flavors (hard crash, torn log

@@ -70,9 +70,7 @@ TEST(WalGroupCommitTest, FlushCoversEverythingBuffered) {
     LogRecord rec;
     rec.type = LogType::kBegin;
     rec.txn = TxnId(i + 1);
-    auto lsn = wal.Append(&rec);
-    ASSERT_TRUE(lsn.ok());
-    lsns.push_back(*lsn);
+    lsns.push_back(wal.Append(&rec));
   }
   EXPECT_EQ(wal.flushed_lsn(), 0u);
   // Flushing up to the 3rd record group-commits all ten.

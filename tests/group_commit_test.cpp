@@ -1,7 +1,8 @@
-// Group-commit pipeline tests: deterministic interleavings forced by the
-// seeded ScheduleController (pause/release the flusher at chosen flush
-// indices) combined with FaultPlan's op-index fault machinery, plus the
-// durability-ordering property under a crash-point sweep.
+// Commit-path batching tests: deterministic interleavings forced by the
+// seeded ScheduleController (a gate on the log append that a flush issues
+// while it holds the WAL's single flush slot) combined with FaultPlan's
+// op-index fault machinery, plus the durability-ordering property under a
+// crash-point sweep.
 //
 // Scale knobs (shared with the other torture suites):
 //   TENDAX_TORTURE_SEED    schedule + fault seed          (default 7)
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
 #include "testing/fault_injection.h"
@@ -35,9 +37,10 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 
 Schema ValueSchema() { return Schema({{"value", ColumnType::kUint64}}); }
 
-// Everything a group-commit test needs in one bundle: a Database whose
-// storage goes through fault injectors, the inner backends (kept to survive
-// a simulated crash), the fault plan and the schedule controller.
+// Everything a batching test needs in one bundle: a Database whose
+// storage goes through fault injectors (the log also through the schedule
+// controller's gate), the inner backends (kept to survive a simulated
+// crash), the fault plan and the schedule controller.
 struct Rig {
   std::shared_ptr<InMemoryDiskManager> disk;
   std::shared_ptr<InMemoryLogStorage> log;
@@ -47,8 +50,7 @@ struct Rig {
   std::vector<HeapTable*> tables;  // t0..t{k-1}, schema {value: uint64}
 };
 
-Rig OpenRig(CommitFlushMode mode, size_t num_tables, uint64_t seed,
-            bool early_lock_release = true) {
+Rig OpenRig(size_t num_tables, uint64_t seed) {
   Rig rig;
   rig.disk = std::make_shared<InMemoryDiskManager>();
   rig.log = std::make_shared<InMemoryLogStorage>();
@@ -58,12 +60,10 @@ Rig OpenRig(CommitFlushMode mode, size_t num_tables, uint64_t seed,
   DatabaseOptions options;
   options.buffer_pool_pages = 64;
   options.disk = std::make_shared<FaultInjectingDiskManager>(rig.disk, rig.plan);
-  options.log_storage =
-      std::make_shared<FaultInjectingLogStorage>(rig.log, rig.plan);
-  options.group_commit.mode = mode;
-  options.group_commit.flush_interval = std::chrono::microseconds(0);
-  options.group_commit.early_lock_release = early_lock_release;
-  options.group_commit.hooks = rig.sched;
+  options.metrics = std::make_shared<MetricsRegistry>();
+  options.log_storage = rig.sched->GateLog(
+      std::make_shared<FaultInjectingLogStorage>(rig.log, rig.plan),
+      options.metrics);
   auto db = Database::Open(std::move(options));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return rig;
@@ -113,267 +113,120 @@ struct CommitAttempt {
   Status status;
 };
 
-// Runs K threads, each inserting `base + i` into its own table inside a
-// manually driven transaction, committing concurrently so the commits pile
-// up into one group. Returns per-thread outcomes.
-std::vector<CommitAttempt> CommitConcurrently(Rig& rig, size_t k,
-                                              uint64_t base) {
-  std::vector<CommitAttempt> attempts(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    threads.emplace_back([&rig, &attempts, i, base] {
-      TxnManager* txns = rig.db->txns();
-      Transaction* txn = txns->Begin(UserId(100 + i));
-      attempts[i].txn_id = txn->id().value;
-      Status st = rig.db->locks()->Acquire(
-          txn->id(), MakeResource(ResourceKind::kDocument, 1 + i),
-          LockMode::kX);
-      if (st.ok()) {
-        st = rig.tables[i]
-                 ->Insert(txn, Record({base + static_cast<uint64_t>(i)}))
-                 .status();
-      }
-      if (st.ok()) {
-        attempts[i].status = txns->Commit(txn);
-      } else {
-        // The insert failure is the interesting status; a failed abort of
-        // an already-doomed txn would only mask it.
-        (void)txns->Abort(txn);
-        attempts[i].status = st;
-      }
-    });
+// Writer `i`: inserts `base + i` into table t<i> inside a manually driven
+// transaction holding document lock 1+i, then commits.
+void CommitOne(Rig& rig, size_t i, uint64_t base, CommitAttempt* attempt) {
+  TxnManager* txns = rig.db->txns();
+  Transaction* txn = txns->Begin(UserId(100 + i));
+  attempt->txn_id = txn->id().value;
+  Status st = rig.db->locks()->Acquire(
+      txn->id(), MakeResource(ResourceKind::kDocument, 1 + i), LockMode::kX);
+  if (st.ok()) {
+    st = rig.tables[i]
+             ->Insert(txn, Record({base + static_cast<uint64_t>(i)}))
+             .status();
   }
-  for (auto& th : threads) th.join();
-  return attempts;
+  if (st.ok()) {
+    attempt->status = txns->Commit(txn);
+  } else {
+    // The insert failure is the interesting status; a failed abort of an
+    // already-doomed txn would only mask it.
+    (void)txns->Abort(txn);
+    attempt->status = st;
+  }
 }
 
-// K concurrent commits gated behind one paused flush must be made durable
-// by a single coalesced Append+Sync.
+// K committers parked behind one gated flush. Writer 0 starts alone and
+// parks inside its own commit flush, holding the WAL's flush slot; writers
+// 1..K-1 start next, and their commit records pile up in the log buffer
+// behind it. So once released, the gated flush makes writer 0 durable and
+// the next flush carries all the others. `parked` says whether that
+// schedule formed. Join() opens the gate (if the test has not) and waits
+// for every writer; the destructor joins too, so a failed assertion never
+// leaves a writer running.
+class ParkedCommits {
+ public:
+  ParkedCommits(Rig& rig, size_t k, uint64_t base)
+      : rig_(rig), attempts_(k) {
+    rig_.sched->PauseAtFlush(rig_.sched->flushes_seen() + 1);
+    Start(0, base);
+    parked_ = rig_.sched->WaitUntilPaused();
+    for (size_t i = 1; i < k; ++i) Start(i, base);
+    parked_ = parked_ && rig_.sched->WaitForWaiters(k);
+  }
+  ~ParkedCommits() { (void)Join(); }
+  ParkedCommits(const ParkedCommits&) = delete;
+  ParkedCommits& operator=(const ParkedCommits&) = delete;
+
+  bool parked() const { return parked_; }
+
+  const std::vector<CommitAttempt>& Join() {
+    rig_.sched->ReleaseFlush();
+    for (auto& th : threads_) {
+      if (th.joinable()) th.join();
+    }
+    return attempts_;
+  }
+
+ private:
+  void Start(size_t i, uint64_t base) {
+    threads_.emplace_back(
+        [this, i, base] { CommitOne(rig_, i, base, &attempts_[i]); });
+  }
+
+  Rig& rig_;
+  std::vector<CommitAttempt> attempts_;
+  std::vector<std::thread> threads_;
+  bool parked_ = false;
+};
+
+uint64_t Syncs(Rig& rig) {
+  return rig.db->metrics()->counter("wal.syncs")->Value();
+}
+
+// The one commit path batches: K committers parked behind one gated flush
+// all become durable with at most 2 syncs — the gated flush, then one
+// coalesced Append+Sync for every commit that queued behind it.
 TEST(GroupCommitTest, BatchesConcurrentCommitsIntoOneSync) {
   const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
   const size_t kWriters = 6;
-  Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed);
+  Rig rig = OpenRig(kWriters, seed);
   ASSERT_NE(rig.db, nullptr);
+  Counter* commits = rig.db->metrics()->counter("wal.commits");
 
-  const WalGroupCommitStats before = rig.db->wal()->group_commit_stats();
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-
-  std::vector<CommitAttempt> attempts;
-  std::thread runner(
-      [&] { attempts = CommitConcurrently(rig, kWriters, 1000); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
-  rig.sched->ReleaseFlush();
-  runner.join();
+  const uint64_t syncs_before = Syncs(rig);
+  const uint64_t commits_before = commits->Value();
+  ParkedCommits parked(rig, kWriters, 1000);
+  ASSERT_TRUE(parked.parked()) << rig.sched->Describe();
+  const std::vector<CommitAttempt>& attempts = parked.Join();
 
   for (size_t i = 0; i < kWriters; ++i) {
     EXPECT_TRUE(attempts[i].status.ok())
         << "writer " << i << ": " << attempts[i].status.ToString();
   }
-  const WalGroupCommitStats after = rig.db->wal()->group_commit_stats();
-  // The core claim: six durable commits, one fsync. (The flusher may run a
-  // trailing no-op attempt if it observes the already-covered waiters before
-  // they exit, so group_flushes is >= 1, but a no-op never syncs.)
-  EXPECT_EQ(after.syncs - before.syncs, 1u) << rig.sched->Describe();
-  EXPECT_GE(after.group_flushes - before.group_flushes, 1u);
-  EXPECT_EQ(after.max_batch, kWriters);
-  EXPECT_EQ(after.commits - before.commits, kWriters);
+  EXPECT_LE(Syncs(rig) - syncs_before, 2u) << rig.sched->Describe();
+  EXPECT_EQ(commits->Value() - commits_before, kWriters);
   EXPECT_EQ(rig.db->txns()->ActiveCount(), 0u);
   for (size_t i = 0; i < kWriters; ++i) {
     EXPECT_EQ(TableValues(rig.tables[i]), std::set<uint64_t>{1000 + i});
   }
 }
 
-// Satellite regression: a failed shared flush must fan its error out to
-// every waiter of the batch — all K commits return the error, every
-// transaction is rolled back, no locks leak, and the TxnManager's books
-// balance. The fault is transient, so the engine stays usable. Strict lock
-// retention (early_lock_release off) is what makes the in-place rollback
-// sound; the early-release flavour of this contract is fail-stop and is
-// covered by EarlyReleaseFlushErrorFailsStop below.
-TEST(GroupCommitTest, FlushErrorFansOutToAllWaiters) {
-  const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
-  const size_t kWriters = 8;
-  Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed,
-                    /*early_lock_release=*/false);
-  ASSERT_NE(rig.db, nullptr);
-
-  const TxnManagerStats txn_before = rig.db->txns()->stats();
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-
-  std::vector<CommitAttempt> attempts;
-  std::thread runner(
-      [&] { attempts = CommitConcurrently(rig, kWriters, 2000); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
-  // All K are enqueued behind the gate; the very next sync is the shared
-  // group flush. Fail it.
-  rig.plan->FailNthSync(rig.plan->syncs_seen() + 1);
-  rig.sched->ReleaseFlush();
-  runner.join();
-
-  for (size_t i = 0; i < kWriters; ++i) {
-    EXPECT_TRUE(attempts[i].status.IsIOError())
-        << "writer " << i << " got: " << attempts[i].status.ToString() << " "
-        << rig.plan->Describe();
-  }
-  // Books balance: K more begun, K more aborted, none committed, nothing
-  // active, no lock leaked.
-  const TxnManagerStats txn_after = rig.db->txns()->stats();
-  EXPECT_EQ(txn_after.begun, txn_before.begun + kWriters);
-  EXPECT_EQ(txn_after.aborted, txn_before.aborted + kWriters);
-  EXPECT_EQ(txn_after.committed, txn_before.committed);
-  EXPECT_EQ(rig.db->txns()->ActiveCount(), 0u);
-  EXPECT_EQ(rig.db->locks()->LockedResourceCount(), 0u);
-  const WalGroupCommitStats wal_stats = rig.db->wal()->group_commit_stats();
-  EXPECT_GE(wal_stats.failed_flushes, 1u);
-  EXPECT_EQ(wal_stats.max_batch, kWriters);
-
-  // The sync failure was transient: the same rows commit on retry.
-  auto retry = CommitConcurrently(rig, kWriters, 3000);
-  for (size_t i = 0; i < kWriters; ++i) {
-    EXPECT_TRUE(retry[i].status.ok()) << retry[i].status.ToString();
-    EXPECT_EQ(TableValues(rig.tables[i]), std::set<uint64_t>{3000 + i});
-  }
-
-  // End to end: reopen over the surviving log. The failed batch's commit
-  // records did reach storage (only their sync failed) and were followed by
-  // durable CLR + abort records from the rollbacks; recovery must net them
-  // out to the same state the live engine converged to — one retry row per
-  // table.
-  rig.db.reset();
-  rig.plan->Disarm();
-  DatabaseOptions reopen;
-  reopen.buffer_pool_pages = 64;
-  reopen.disk = rig.disk;
-  reopen.log_storage = rig.log;
-  auto db2 = Database::Open(std::move(reopen));
-  ASSERT_TRUE(db2.ok()) << db2.status().ToString();
-  ASSERT_TRUE((*db2)->CheckIntegrity().ok());
-  for (size_t i = 0; i < kWriters; ++i) {
-    auto table = (*db2)->GetTable("t" + std::to_string(i));
-    ASSERT_TRUE(table.ok());
-    EXPECT_EQ(TableValues(*table), std::set<uint64_t>{3000 + i})
-        << "table t" << i << " after recovery";
-  }
-}
-
-// Same fan-out contract in leader mode, where one of the committers itself
-// runs the shared flush: the leader and every follower get the error.
-TEST(GroupCommitTest, LeaderModeFansOutFlushError) {
-  const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
-  const size_t kWriters = 4;
-  Rig rig = OpenRig(CommitFlushMode::kLeader, kWriters, seed,
-                    /*early_lock_release=*/false);
-  ASSERT_NE(rig.db, nullptr);
-
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-  std::vector<CommitAttempt> attempts;
-  std::thread runner(
-      [&] { attempts = CommitConcurrently(rig, kWriters, 4000); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
-  rig.plan->FailNthSync(rig.plan->syncs_seen() + 1);
-  rig.sched->ReleaseFlush();
-  runner.join();
-
-  for (size_t i = 0; i < kWriters; ++i) {
-    EXPECT_TRUE(attempts[i].status.IsIOError())
-        << "writer " << i << " got: " << attempts[i].status.ToString();
-  }
-  EXPECT_EQ(rig.db->txns()->ActiveCount(), 0u);
-  EXPECT_EQ(rig.db->locks()->LockedResourceCount(), 0u);
-}
-
-// Under early lock release (the default for the batching modes) a failed
-// shared flush cannot roll its batch back in place — other transactions may
-// already have built on the released writes. The contract is fail-stop:
-// every waiter gets the error, no locks or transaction slots leak, the Wal
-// poisons itself so every later commit fails with the same error, and a
-// reopen recovers exactly what the surviving log says.
-TEST(GroupCommitTest, EarlyReleaseFlushErrorFailsStop) {
-  const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
-  const size_t kWriters = 8;
-  Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed);
-  ASSERT_NE(rig.db, nullptr);
-
-  const TxnManagerStats txn_before = rig.db->txns()->stats();
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-
-  std::vector<CommitAttempt> attempts;
-  std::thread runner(
-      [&] { attempts = CommitConcurrently(rig, kWriters, 7000); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
-  rig.plan->FailNthSync(rig.plan->syncs_seen() + 1);
-  rig.sched->ReleaseFlush();
-  runner.join();
-
-  for (size_t i = 0; i < kWriters; ++i) {
-    EXPECT_TRUE(attempts[i].status.IsIOError())
-        << "writer " << i << " got: " << attempts[i].status.ToString();
-  }
-  const TxnManagerStats txn_after = rig.db->txns()->stats();
-  EXPECT_EQ(txn_after.begun, txn_before.begun + kWriters);
-  EXPECT_EQ(txn_after.aborted, txn_before.aborted + kWriters);
-  EXPECT_EQ(txn_after.committed, txn_before.committed);
-  EXPECT_EQ(rig.db->txns()->ActiveCount(), 0u);
-  EXPECT_EQ(rig.db->locks()->LockedResourceCount(), 0u);
-  EXPECT_TRUE(rig.db->wal()->poison_status().IsIOError());
-
-  // Fail-stopped: a later commit attempt must fail fast with the same
-  // error, even though the injected fault was one-shot.
-  rig.plan->Disarm();
-  auto late = CommitConcurrently(rig, 1, 8000);
-  EXPECT_TRUE(late[0].status.IsIOError()) << late[0].status.ToString();
-
-  // Reopen over the surviving log. The failed batch's commit records did
-  // reach storage (only their sync failed, and the in-memory backend keeps
-  // appended bytes), so recovery replays them as committed — "commit
-  // returned an error" under fail-stop means durability-unknown, and the
-  // log is the arbiter. Exactness: recovered contents match the decoded
-  // commit set, whatever it is.
-  std::vector<uint64_t> txn_ids;
-  for (const auto& a : attempts) txn_ids.push_back(a.txn_id);
-  rig.db.reset();
-  std::set<uint64_t> durable = DurableCommits(rig.log);
-  DatabaseOptions reopen;
-  reopen.buffer_pool_pages = 64;
-  reopen.disk = rig.disk;
-  reopen.log_storage = rig.log;
-  auto db2 = Database::Open(std::move(reopen));
-  ASSERT_TRUE(db2.ok()) << db2.status().ToString();
-  ASSERT_TRUE((*db2)->CheckIntegrity().ok());
-  for (size_t i = 0; i < kWriters; ++i) {
-    auto table = (*db2)->GetTable("t" + std::to_string(i));
-    ASSERT_TRUE(table.ok());
-    std::set<uint64_t> expected;
-    if (durable.count(txn_ids[i]) != 0) expected.insert(7000 + i);
-    EXPECT_EQ(TableValues(*table), expected) << "table t" << i;
-  }
-}
-
-// "Commit waiting when the crash fires": K commits are parked behind the
-// gated flush when the machine dies. None of their bytes reached storage,
+// "Commit waiting when the crash fires": K commits are parked at or behind
+// the gated flush when the machine dies. None of their bytes reached storage,
 // so recovery must come back without any of them — and with everything
 // durable before the crash intact.
 TEST(GroupCommitTest, CrashWhileCommitsWaitingRecoversCleanly) {
   const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
   const size_t kWriters = 4;
-  Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed);
+  Rig rig = OpenRig(kWriters, seed);
   ASSERT_NE(rig.db, nullptr);
 
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-  std::vector<CommitAttempt> attempts;
-  std::thread runner(
-      [&] { attempts = CommitConcurrently(rig, kWriters, 5000); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
+  ParkedCommits parked(rig, kWriters, 5000);
+  ASSERT_TRUE(parked.parked()) << rig.sched->Describe();
   // Power cut: every I/O from the gated flush on fails.
   rig.plan->CrashAtOp(rig.plan->ops_seen() + 1);
-  rig.sched->ReleaseFlush();
-  runner.join();
+  const std::vector<CommitAttempt>& attempts = parked.Join();
 
   for (size_t i = 0; i < kWriters; ++i) {
     EXPECT_FALSE(attempts[i].status.ok()) << "writer " << i;
@@ -407,32 +260,29 @@ TEST(GroupCommitTest, CrashWhileCommitsWaitingRecoversCleanly) {
   }
 }
 
-// "Batch torn mid-append": the coalesced append persists only a prefix of
-// the batch. Recovery must come back with exactly the transactions whose
-// commit record survived in that prefix — a prefix of the commit-LSN
-// order, never a subset with holes.
+// "Batch torn mid-append": the coalesced append that carries the commit
+// records of every writer queued behind the gated flush persists only a
+// prefix of its bytes. Recovery must come back with exactly the
+// transactions whose commit record survived in that prefix — a prefix of
+// the commit-LSN order, never a subset with holes.
 TEST(GroupCommitTest, TornBatchAppendRecoversLsnPrefix) {
   const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
   const size_t kWriters = 4;
   size_t round = 0;
   for (size_t keep : {size_t{0}, size_t{9}, size_t{40}, size_t{120},
                       FaultPlan::kAutoTear}) {
-    Rig rig =
-        OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed + round++);
+    Rig rig = OpenRig(kWriters, seed + round++);
     ASSERT_NE(rig.db, nullptr);
 
-    rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-    std::vector<CommitAttempt> attempts;
-    std::thread runner(
-        [&] { attempts = CommitConcurrently(rig, kWriters, 6000); });
-    ASSERT_TRUE(rig.sched->WaitUntilPaused()) << rig.sched->Describe();
-    ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters)) << rig.sched->Describe();
-    // The gated flush's Append is the next log append; tear it mid-batch.
-    rig.plan->TearNthLogAppend(rig.plan->appends_seen() + 1, keep);
-    rig.sched->ReleaseFlush();
-    runner.join();
+    ParkedCommits parked(rig, kWriters, 6000);
+    ASSERT_TRUE(parked.parked()) << rig.sched->Describe();
+    // The gated flush (writer 0) is the next log append; the batch of
+    // writers 1..K-1 is the one after it. Tear that batch.
+    rig.plan->TearNthLogAppend(rig.plan->appends_seen() + 2, keep);
+    const std::vector<CommitAttempt>& attempts = parked.Join();
 
-    for (size_t i = 0; i < kWriters; ++i) {
+    EXPECT_TRUE(attempts[0].status.ok()) << attempts[0].status.ToString();
+    for (size_t i = 1; i < kWriters; ++i) {
       EXPECT_FALSE(attempts[i].status.ok()) << "writer " << i;
     }
     EXPECT_TRUE(rig.plan->crashed());
@@ -448,6 +298,7 @@ TEST(GroupCommitTest, TornBatchAppendRecoversLsnPrefix) {
     // construction hole-free in LSN order; the recovered tables must match
     // it exactly.
     std::set<uint64_t> durable = DurableCommits(rig.log);
+    EXPECT_EQ(durable.count(txn_ids[0]), 1u) << context;
     DatabaseOptions reopen;
     reopen.buffer_pool_pages = 64;
     reopen.disk = rig.disk;
@@ -466,7 +317,7 @@ TEST(GroupCommitTest, TornBatchAppendRecoversLsnPrefix) {
   }
 }
 
-// Durability-ordering property sweep: crash a multi-writer group-commit
+// Durability-ordering property sweep: crash a multi-writer committing
 // workload at strided I/O points. After every crash, the recovered state
 // must contain exactly the transactions whose commit record survives in
 // the log prefix — never a commit reported OK missing, never a torn-off
@@ -513,7 +364,7 @@ TEST(GroupCommitTest, DurabilityPrefixHoldsAtEveryCrashPoint) {
   // relative to the end of table setup, which is identical in every run).
   uint64_t workload_ops = 0;
   {
-    Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed);
+    Rig rig = OpenRig(kWriters, seed);
     ASSERT_NE(rig.db, nullptr);
     const uint64_t base = rig.plan->ops_seen();
     std::vector<std::vector<CommitAttempt>> outcomes;
@@ -530,7 +381,7 @@ TEST(GroupCommitTest, DurabilityPrefixHoldsAtEveryCrashPoint) {
 
   const uint64_t stride = std::max<uint64_t>(1, workload_ops / points);
   for (uint64_t k = 1; k <= workload_ops; k += stride) {
-    Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, seed + k);
+    Rig rig = OpenRig(kWriters, seed + k);
     ASSERT_NE(rig.db, nullptr);
     // Crash k ops into the workload proper (setup is already behind us).
     rig.plan->CrashAtOp(rig.plan->ops_seen() + k);

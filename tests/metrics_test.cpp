@@ -3,7 +3,8 @@
 // rejection of truncation, corruption, unknown versions and trailing bytes),
 // ScopedTimer RAII semantics, and deterministic end-to-end assertions that
 // the registry counters exactly mirror the legacy per-subsystem stats under
-// seeded fault schedules (group commit, retries, dedup, leases, resyncs).
+// seeded fault schedules (commit batching, retries, dedup, leases,
+// resyncs).
 
 #include <gtest/gtest.h>
 
@@ -378,12 +379,13 @@ TEST(MetricsRegistryTest, TextExposition) {
   EXPECT_NE(text.find("tendax_wal_flush_micros_count 1\n"), std::string::npos);
 }
 
-// --- deterministic end-to-end: group commit ------------------------------
+// --- deterministic end-to-end: commit batching ---------------------------
 
 Schema ValueSchema() { return Schema({{"value", ColumnType::kUint64}}); }
 
-// A scaled-down version of the group-commit rig: a Database over
-// fault-injected in-memory backends plus the seeded schedule controller.
+// A scaled-down version of the commit-batching rig: a Database over
+// fault-injected in-memory backends, the log gated by the seeded schedule
+// controller.
 struct Rig {
   std::shared_ptr<InMemoryDiskManager> disk;
   std::shared_ptr<InMemoryLogStorage> log;
@@ -393,7 +395,7 @@ struct Rig {
   std::vector<HeapTable*> tables;
 };
 
-Rig OpenRig(CommitFlushMode mode, size_t num_tables, uint64_t seed) {
+Rig OpenRig(size_t num_tables, uint64_t seed) {
   Rig rig;
   rig.disk = std::make_shared<InMemoryDiskManager>();
   rig.log = std::make_shared<InMemoryLogStorage>();
@@ -403,11 +405,10 @@ Rig OpenRig(CommitFlushMode mode, size_t num_tables, uint64_t seed) {
   options.buffer_pool_pages = 64;
   options.disk =
       std::make_shared<FaultInjectingDiskManager>(rig.disk, rig.plan);
-  options.log_storage =
-      std::make_shared<FaultInjectingLogStorage>(rig.log, rig.plan);
-  options.group_commit.mode = mode;
-  options.group_commit.flush_interval = std::chrono::microseconds(0);
-  options.group_commit.hooks = rig.sched;
+  options.metrics = std::make_shared<MetricsRegistry>();
+  options.log_storage = rig.sched->GateLog(
+      std::make_shared<FaultInjectingLogStorage>(rig.log, rig.plan),
+      options.metrics);
   auto db = Database::Open(std::move(options));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return rig;
@@ -421,85 +422,87 @@ Rig OpenRig(CommitFlushMode mode, size_t num_tables, uint64_t seed) {
   return rig;
 }
 
-// Runs K threads each committing one insert so the commits coalesce.
-void CommitConcurrently(Rig& rig, size_t k) {
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    threads.emplace_back([&rig, i] {
-      TxnManager* txns = rig.db->txns();
-      Transaction* txn = txns->Begin(UserId(100 + i));
-      Status st = rig.db->locks()->Acquire(
-          txn->id(), MakeResource(ResourceKind::kDocument, 1 + i),
-          LockMode::kX);
-      if (st.ok()) {
-        st = rig.tables[i]
-                 ->Insert(txn, Record({static_cast<uint64_t>(1000 + i)}))
-                 .status();
-      }
-      if (st.ok()) {
-        (void)txns->Commit(txn);
-      } else {
-        (void)txns->Abort(txn);
-      }
-    });
+// Writer `i` commits one insert of `1000 + i` into table t<i>.
+void CommitOne(Rig& rig, size_t i) {
+  TxnManager* txns = rig.db->txns();
+  Transaction* txn = txns->Begin(UserId(100 + i));
+  Status st = rig.db->locks()->Acquire(
+      txn->id(), MakeResource(ResourceKind::kDocument, 1 + i), LockMode::kX);
+  if (st.ok()) {
+    st = rig.tables[i]
+             ->Insert(txn, Record({static_cast<uint64_t>(1000 + i)}))
+             .status();
   }
-  for (auto& th : threads) th.join();
+  if (st.ok()) {
+    (void)txns->Commit(txn);
+  } else {
+    (void)txns->Abort(txn);
+  }
 }
 
 TEST(MetricsE2ETest, GroupCommitBatchMetricsExact) {
   constexpr size_t kWriters = 4;
-  Rig rig = OpenRig(CommitFlushMode::kFlusherThread, kWriters, /*seed=*/7);
+  Rig rig = OpenRig(kWriters, /*seed=*/7);
   ASSERT_NE(rig.db, nullptr);
   MetricsRegistry* metrics = rig.db->metrics();
   ASSERT_NE(metrics, nullptr);
 
   MetricsSnapshot before = metrics->Snapshot();
-  const uint64_t batch_records_before =
-      before.FindHistogram("wal.batch_size") != nullptr
-          ? before.FindHistogram("wal.batch_size")->count
-          : 0;
+  const HistogramSnapshot* cf = before.FindHistogram("wal.commit_flush_micros");
+  const uint64_t commit_flushes_before = cf != nullptr ? cf->count : 0;
 
-  // Gate the next group flush so all writers pile into one batch.
-  rig.sched->PauseAtFlush(rig.sched->flushes_finished() + 1);
-  std::thread runner([&] { CommitConcurrently(rig, kWriters); });
-  ASSERT_TRUE(rig.sched->WaitUntilPaused());
-  ASSERT_TRUE(rig.sched->WaitForWaiters(kWriters));
+  // Writer 0 parks inside its own commit flush, holding the flush slot;
+  // the other writers' commits queue behind it and share the next flush.
+  rig.sched->PauseAtFlush(rig.sched->flushes_seen() + 1);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { CommitOne(rig, 0); });
+  const bool parked = rig.sched->WaitUntilPaused();
+  for (size_t i = 1; i < kWriters; ++i) {
+    threads.emplace_back([&, i] { CommitOne(rig, i); });
+  }
+  const bool queued = parked && rig.sched->WaitForWaiters(kWriters);
   rig.sched->ReleaseFlush();
-  runner.join();
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(queued) << rig.sched->Describe();
 
   MetricsSnapshot after = metrics->Snapshot();
   EXPECT_EQ(after.CounterValue("wal.commits") - before.CounterValue("wal.commits"),
             kWriters);
+  // The gated flush, then one flush for the whole queue.
   EXPECT_EQ(after.CounterValue("wal.syncs") - before.CounterValue("wal.syncs"),
-            1u);
-  // The flusher may run one extra (already-durable, sync-free) pass after
-  // the gated batch, so group_flushes is >= 1 while syncs is exactly 1.
-  EXPECT_GE(after.CounterValue("wal.group_flushes") -
-                before.CounterValue("wal.group_flushes"),
-            1u);
-  EXPECT_EQ(after.GaugeValue("wal.max_batch"),
-            static_cast<int64_t>(kWriters));
-  const HistogramSnapshot* batch = after.FindHistogram("wal.batch_size");
-  ASSERT_NE(batch, nullptr);
-  EXPECT_GE(batch->count - batch_records_before, 1u);
-  EXPECT_EQ(batch->max, kWriters);
+            2u);
+  EXPECT_EQ(after.CounterValue("wal.failed_flushes"), 0u);
+  const HistogramSnapshot* cf_after =
+      after.FindHistogram("wal.commit_flush_micros");
+  ASSERT_NE(cf_after, nullptr);
+  EXPECT_EQ(cf_after->count - commit_flushes_before, kWriters);
+}
 
-  // The registry is a faithful mirror of the legacy accessors.
-  WalGroupCommitStats legacy = rig.db->wal()->group_commit_stats();
-  EXPECT_EQ(after.CounterValue("wal.commits"), legacy.commits);
-  EXPECT_EQ(after.CounterValue("wal.syncs"), legacy.syncs);
-  EXPECT_EQ(after.CounterValue("wal.group_flushes"), legacy.group_flushes);
-  EXPECT_EQ(after.CounterValue("wal.failed_flushes"), legacy.failed_flushes);
-  EXPECT_EQ(after.GaugeValue("wal.max_batch"),
-            static_cast<int64_t>(legacy.max_batch));
+// A commit whose fsync fails counts exactly one failed flush: the failing
+// flush itself. The rollback that follows issues no flush.
+TEST(MetricsE2ETest, FailedCommitSyncCountsOneFailedFlush) {
+  Rig rig = OpenRig(/*num_tables=*/1, /*seed=*/7);
+  ASSERT_NE(rig.db, nullptr);
+  MetricsRegistry* metrics = rig.db->metrics();
+  const uint64_t failed_before =
+      metrics->Snapshot().CounterValue("wal.failed_flushes");
+
+  rig.plan->FailNthSync(rig.plan->syncs_seen() + 1);
+  TxnManager* txns = rig.db->txns();
+  Transaction* txn = txns->Begin(UserId(1));
+  ASSERT_TRUE(rig.tables[0]->Insert(txn, Record({uint64_t{5}})).ok());
+  EXPECT_TRUE(txns->Commit(txn).IsIOError());
+
+  EXPECT_EQ(metrics->Snapshot().CounterValue("wal.failed_flushes") -
+                failed_before,
+            1u);
 }
 
 // Satellite (d): the commit-latency timer is RAII'd at the top of
 // Wal::CommitFlush / TxnManager::Commit, so a flush that *fails* still
 // records a latency sample and the abort is counted.
 TEST(MetricsE2ETest, FailedCommitFlushStillRecordsLatencyAndAbort) {
-  Rig rig = OpenRig(CommitFlushMode::kInline, /*num_tables=*/1, /*seed=*/7);
+  Rig rig = OpenRig(/*num_tables=*/1, /*seed=*/7);
   ASSERT_NE(rig.db, nullptr);
   MetricsRegistry* metrics = rig.db->metrics();
 
@@ -782,11 +785,6 @@ TEST_F(MetricsWireTest, SnapshotMatchesLegacyAccessorsAfterWorkload) {
 
   MetricsSnapshot snap = server_->metrics()->Snapshot();
   Database* db = server_->db();
-  WalGroupCommitStats wal = db->wal()->group_commit_stats();
-  EXPECT_EQ(snap.CounterValue("wal.commits"), wal.commits);
-  EXPECT_EQ(snap.CounterValue("wal.syncs"), wal.syncs);
-  EXPECT_EQ(snap.CounterValue("wal.group_flushes"), wal.group_flushes);
-  EXPECT_EQ(snap.CounterValue("wal.failed_flushes"), wal.failed_flushes);
   BufferPoolStats bp = db->buffer_pool()->stats();
   EXPECT_EQ(snap.CounterValue("bufferpool.hits"), bp.hits);
   EXPECT_EQ(snap.CounterValue("bufferpool.misses"), bp.misses);

@@ -96,18 +96,17 @@ TEST_F(MvccTest, TextAtVersionMatchesEveryCommittedVersion) {
   }
 }
 
-// The headline property: while a writer's commit is parked inside the
-// group-commit flush still holding its X document lock (early lock release
-// off), snapshot reads proceed immediately at the previous version with no
-// lock acquisition — while a shared document lock demonstrably cannot be
-// had.
+// The headline property: while a writer's commit is parked inside its
+// flush still holding its X document lock (strict 2PL), snapshot reads
+// proceed immediately at the previous version with no lock acquisition —
+// while a shared document lock demonstrably cannot be had.
 TEST(MvccContrastTest, SnapshotReadsDoNotStallBehindPausedCommit) {
   auto sched = std::make_shared<ScheduleController>(/*seed=*/11);
   TendaxOptions options;
   options.db.buffer_pool_pages = 1024;
-  options.db.group_commit.mode = CommitFlushMode::kFlusherThread;
-  options.db.group_commit.early_lock_release = false;
-  options.db.group_commit.hooks = sched;
+  options.db.metrics = std::make_shared<MetricsRegistry>();
+  options.db.log_storage = sched->GateLog(
+      std::make_shared<InMemoryLogStorage>(), options.db.metrics);
   // Short lock timeout so the negative (lock-based) probe fails fast.
   options.db.lock_timeout = std::chrono::milliseconds(20);
   auto server_res = TendaxServer::Open(std::move(options));
@@ -121,11 +120,9 @@ TEST(MvccContrastTest, SnapshotReadsDoNotStallBehindPausedCommit) {
   ASSERT_TRUE(server->text()->InsertText(*user, *doc, 0, "base").ok());
   const Version committed = *server->text()->CurrentVersion(*doc);
 
-  // Gate the next coalesced flush, then start a writer that will block in
+  // Gate the next flush, then start a writer that will block in
   // CommitFlush holding the document's X lock.
-  const uint64_t next_flush =
-      server->db()->wal()->group_commit_stats().group_flushes + 1;
-  sched->PauseAtFlush(next_flush);
+  sched->PauseAtFlush(sched->flushes_seen() + 1);
   std::thread writer([&] {
     auto r = server->text()->InsertText(*user, *doc, 4, "+more");
     EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -323,9 +320,8 @@ TEST_F(MvccTest, SnapshotReadTxnIsInvisibleToWalAndRefusesWrites) {
 //   (2) versions are monotone per reader;
 //   (3) the version is >= the newest commit the reader had observed before
 //       acquiring — snapshots never travel backwards past the acquire point.
-// A ScheduleController (seeded per schedule) parks one coalesced group
-// flush mid-stream so part of the validation runs against a writer frozen
-// inside its commit.
+// A ScheduleController (seeded per schedule) parks one flush mid-stream so
+// part of the validation runs against a writer frozen inside its commit.
 TEST(MvccPropertyTest, SeededSnapshotConsistency) {
   const uint64_t kSchedules = EnvU64("TENDAX_MVCC_SCHEDULES", 4);
   const uint64_t kOps = EnvU64("TENDAX_MVCC_OPS", 120);
@@ -336,8 +332,9 @@ TEST(MvccPropertyTest, SeededSnapshotConsistency) {
     auto sched = std::make_shared<ScheduleController>(schedule);
     TendaxOptions options;
     options.db.buffer_pool_pages = 2048;
-    options.db.group_commit.mode = CommitFlushMode::kFlusherThread;
-    options.db.group_commit.hooks = sched;
+    options.db.metrics = std::make_shared<MetricsRegistry>();
+    options.db.log_storage = sched->GateLog(
+        std::make_shared<InMemoryLogStorage>(), options.db.metrics);
     auto server_res = TendaxServer::Open(std::move(options));
     ASSERT_TRUE(server_res.ok()) << server_res.status().ToString();
     TendaxServer* server = server_res->get();
@@ -361,11 +358,11 @@ TEST(MvccPropertyTest, SeededSnapshotConsistency) {
     std::atomic<bool> done{false};
     std::atomic<uint64_t> reads{0};
 
-    // Park one group flush somewhere in the first half of the stream so
-    // readers validate against a writer frozen mid-commit. The gate index
-    // is relative to the flushes already spent on setup commits.
-    const uint64_t base = server->db()->wal()->group_commit_stats().group_flushes;
-    const uint64_t gate = base + sched->PickFlush(2, kOps / 2 + 2);
+    // Park one flush somewhere in the first half of the stream so readers
+    // validate against a writer frozen mid-commit. The gate index is
+    // relative to the flushes already spent on setup commits.
+    const uint64_t gate =
+        sched->flushes_seen() + sched->PickFlush(2, kOps / 2 + 2);
     sched->PauseAtFlush(gate);
 
     std::vector<std::thread> readers;

@@ -683,8 +683,8 @@ TEST(RetryingClientOverloadTest, CircuitBreakerOpensHalfOpensAndCloses) {
 //
 // 64 clients against a server whose admission gate is tiny: 60 editor
 // threads hammer one shared document while 4 keeper sessions depend purely
-// on heartbeats to stay alive, and the group-commit flusher is frozen
-// mid-storm (ScheduleController) to spike the backlog. The storm must end
+// on heartbeats to stay alive, and a WAL flush is frozen mid-storm
+// (ScheduleController) to spike the backlog. The storm must end
 // with every editor's writes applied, all replicas identical, zero reaped
 // sessions, normal-class sheds observed as typed kUnavailable with nonzero
 // retry-after hints, and zero critical-class sheds.
@@ -696,8 +696,9 @@ TEST(OverloadStormTest, SeededStormConvergesWhileShedding) {
 
   auto sched = std::make_shared<ScheduleController>(kSeed);
   TendaxOptions options;
-  options.db.group_commit.mode = CommitFlushMode::kFlusherThread;
-  options.db.group_commit.hooks = sched;
+  options.db.metrics = std::make_shared<MetricsRegistry>();
+  options.db.log_storage = sched->GateLog(
+      std::make_shared<InMemoryLogStorage>(), options.db.metrics);
   options.session.lease_ttl_micros = 10'000'000;  // 10s, SystemClock domain
   options.admission.max_inflight = 2;
   options.admission.queue_depth = 8;
@@ -793,10 +794,10 @@ TEST(OverloadStormTest, SeededStormConvergesWhileShedding) {
     });
   }
 
-  // Mid-storm: freeze the group-commit flusher so every editing request
-  // stalls in commit while heartbeats (no commit) keep flowing, then
-  // release. This spikes the admission backlog deterministically.
-  sched->PauseAtFlush(sched->flushes_finished() + 1);
+  // Mid-storm: freeze the next WAL flush so every editing request stalls
+  // in commit while heartbeats (no commit) keep flowing, then release.
+  // This spikes the admission backlog deterministically.
+  sched->PauseAtFlush(sched->flushes_seen() + 1);
   if (sched->WaitUntilPaused(std::chrono::milliseconds(5000))) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }

@@ -28,6 +28,10 @@
 #                      publication / COW / reclamation raced against the
 #                      writer storm, checkpointer, purge, and eviction (the
 #                      storm again repeated 40 times)
+#   9. tsan groupcommit ctest -L groupcommit under -fsanitize=thread — the
+#                      commit path's concurrency rests on the WAL's single
+#                      flush slot alone — plus the gated batching test
+#                      repeated 20 times
 #
 # Exit code is non-zero iff any stage that *ran* failed.
 set -u
@@ -111,6 +115,32 @@ stage_tsan_mvcc() {
   repeat_mvcc_storm "$dir"
 }
 
+repeat_batching() { # build dir
+  "$1/tests/group_commit_test" \
+      --gtest_filter='*BatchesConcurrentCommitsIntoOneSync*' \
+      --gtest_repeat=20 --gtest_brief=1
+}
+
+stage_tsan_groupcommit() {
+  local dir="$BUILD_ROOT/san-thread"  # shared with the tsan mvcc stage
+  cmake -S "$ROOT" -B "$dir" -DTENDAX_SANITIZE=thread >/dev/null &&
+  cmake --build "$dir" -j "$JOBS" &&
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L groupcommit &&
+  repeat_batching "$dir"
+}
+
+# True when the C++ compiler can build and run a -fsanitize=thread binary.
+have_tsan() {
+  local probe ok
+  probe="$(mktemp -d)" || return 1
+  printf 'int main() { return 0; }\n' > "$probe/t.cc"
+  "${CXX:-c++}" -fsanitize=thread "$probe/t.cc" -o "$probe/t" \
+      >/dev/null 2>&1 && "$probe/t"
+  ok=$?
+  rm -rf "$probe"
+  return "$ok"
+}
+
 stage_clang_tidy() {
   local dir="$BUILD_ROOT/tidy"
   cmake -S "$ROOT" -B "$dir" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null ||
@@ -154,6 +184,11 @@ else
   run_stage "asan ctest" stage_asan
   run_stage "ubsan ctest" stage_ubsan
   run_stage "tsan mvcc (ctest -L mvcc)" stage_tsan_mvcc
+  if have_tsan; then
+    run_stage "tsan groupcommit (ctest -L groupcommit)" stage_tsan_groupcommit
+  else
+    skip_stage "tsan groupcommit" "compiler cannot build -fsanitize=thread"
+  fi
 fi
 
 note "summary"
