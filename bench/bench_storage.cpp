@@ -1,6 +1,6 @@
 // E9 — substrate soundness: buffer pool hit behaviour, WAL append/flush,
-// B+tree operations, record CRUD through the transactional heap, and
-// crash-recovery time against log length.
+// record CRUD through the transactional heap, and crash-recovery time
+// against log length.
 
 #include <benchmark/benchmark.h>
 
@@ -76,58 +76,6 @@ void BM_WalAppendFlush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalAppendFlush);
-
-// B+tree point operations at different tree sizes.
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  InMemoryDiskManager disk;
-  BufferPool pool(4096, &disk);
-  auto tree = *BPlusTree::Create(1, "bench", &pool);
-  uint64_t key = 0;
-  for (auto _ : state) {
-    auto st = tree->Insert(key, key);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    ++key;
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["final_height"] = tree->stats().height;
-}
-BENCHMARK(BM_BPlusTreeInsert);
-
-void BM_BPlusTreeLookup(benchmark::State& state) {
-  InMemoryDiskManager disk;
-  BufferPool pool(8192, &disk);
-  auto tree = *BPlusTree::Create(1, "bench", &pool);
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  for (uint64_t i = 0; i < n; ++i) (void)tree->Insert(i, i * 3);
-  Random rng(9);
-  for (auto _ : state) {
-    auto v = tree->GetFirst(rng.Uniform(n));
-    if (!v.ok()) state.SkipWithError(v.status().ToString().c_str());
-    benchmark::DoNotOptimize(*v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BPlusTreeLookup)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-void BM_BPlusTreeRangeScan(benchmark::State& state) {
-  InMemoryDiskManager disk;
-  BufferPool pool(8192, &disk);
-  auto tree = *BPlusTree::Create(1, "bench", &pool);
-  for (uint64_t i = 0; i < 100000; ++i) (void)tree->Insert(i, i);
-  const uint64_t span = static_cast<uint64_t>(state.range(0));
-  Random rng(13);
-  for (auto _ : state) {
-    uint64_t lo = rng.Uniform(100000 - span);
-    uint64_t count = 0;
-    (void)tree->ScanRange(lo, lo + span - 1, [&](uint64_t, uint64_t) {
-      ++count;
-      return true;
-    });
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * span);
-}
-BENCHMARK(BM_BPlusTreeRangeScan)->Arg(10)->Arg(1000);
 
 // Transactional record insert through the full stack (WAL + locks + heap).
 void BM_HeapInsertCommit(benchmark::State& state) {

@@ -116,7 +116,7 @@ class TendaxServer {
   Status CheckpointNow() { return db_->CheckpointNow(); }
 
   /// Full structural integrity sweep of the underlying database (pages,
-  /// tables, indexes). See `Database::CheckIntegrity`.
+  /// tables). See `Database::CheckIntegrity`.
   Status CheckIntegrity() const { return db_->CheckIntegrity(); }
 
  private:

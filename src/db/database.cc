@@ -119,7 +119,9 @@ Database::DiscoverPages() {
     SlottedPage sp(guard.get());
     uint32_t table_id = sp.table_id();
     if (!sp.IsInitialized()) continue;       // free/unused page
-    if (table_id & 0x80000000u) continue;    // index page (derived data)
+    // A high-bit table id marks a B+tree index page. Indexes are gone, but
+    // files written before they went still hold the pages they leaked.
+    if (table_id & 0x80000000u) continue;
     by_table[table_id].push_back(pid);
   }
   return by_table;
@@ -155,27 +157,6 @@ Result<HeapTable*> Database::GetTable(const std::string& name) const {
   return catalog_->GetTable(name);
 }
 
-Result<BPlusTree*> Database::CreateIndex(const std::string& name) {
-  MutexLock lock(index_mu_);
-  if (indexes_.count(name)) {
-    return Status::AlreadyExists("index '" + name + "' exists");
-  }
-  auto tree = BPlusTree::Create(next_index_id_++, name, buffer_pool_.get());
-  if (!tree.ok()) return tree.status();
-  BPlusTree* raw = tree->get();
-  indexes_[name] = std::move(*tree);
-  return raw;
-}
-
-Result<BPlusTree*> Database::GetIndex(const std::string& name) const {
-  MutexLock lock(index_mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end()) {
-    return Status::NotFound("no index named '" + name + "'");
-  }
-  return it->second.get();
-}
-
 Status Database::Checkpoint() {
   if (txn_manager_->ActiveCount() > 0) {
     return Status::FailedPrecondition(
@@ -204,7 +185,8 @@ Status Database::CheckIntegrity() const {
     PageGuard guard(buffer_pool_.get(), *page);
     SlottedPage sp(guard.get());
     if (!sp.IsInitialized()) continue;
-    if (sp.table_id() & 0x80000000u) continue;  // index page, checked below
+    // A leaked index page from an older file: no slot directory to check.
+    if (sp.table_id() & 0x80000000u) continue;
     Status st = sp.Validate();
     if (!st.ok()) {
       return Status::Corruption("page " + std::to_string(pid) + ": " +
@@ -219,11 +201,6 @@ Status Database::CheckIntegrity() const {
     if (!st.ok()) {
       return Status::Corruption("table " + name + ": " + st.ToString());
     }
-  }
-  // 3. Index level.
-  MutexLock lock(index_mu_);
-  for (const auto& [name, tree] : indexes_) {
-    TENDAX_RETURN_IF_ERROR(tree->CheckIntegrity());
   }
   return Status::OK();
 }

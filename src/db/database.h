@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "db/bptree.h"
 #include "db/catalog.h"
 #include "db/checkpointer.h"
 #include "db/recovery.h"
@@ -18,7 +17,6 @@
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
 #include "util/clock.h"
-#include "util/mutex.h"
 #include "util/result.h"
 
 namespace tendax {
@@ -81,13 +79,6 @@ class Database : public ChangeApplier {
                                  const Schema& schema);
   Result<HeapTable*> GetTable(const std::string& name) const;
 
-  /// Creates an in-memory-rooted, page-backed secondary index (derived
-  /// data: rebuilt by callers after reopen, not WAL-logged).
-  Result<BPlusTree*> CreateIndex(const std::string& name)
-      TENDAX_EXCLUDES(index_mu_);
-  Result<BPlusTree*> GetIndex(const std::string& name) const
-      TENDAX_EXCLUDES(index_mu_);
-
   /// Quiescent checkpoint. Requires `txns()->ActiveCount() == 0`: with a
   /// transaction in flight this fails with `Status::FailedPrecondition`
   /// (message prefix "checkpoint requires a quiescent database") and
@@ -102,9 +93,9 @@ class Database : public ChangeApplier {
   Status CheckpointNow();
 
   /// Full structural integrity sweep: every initialized data page passes
-  /// checksum verification and `SlottedPage::Validate`, every catalog table
-  /// scans and decodes end to end, and every index passes
-  /// `BPlusTree::CheckIntegrity`. Used by crash-recovery tests after reopen.
+  /// checksum verification and `SlottedPage::Validate`, and every catalog
+  /// table scans and decodes end to end. Used by crash-recovery tests after
+  /// reopen.
   Status CheckIntegrity() const;
 
   /// Drops all cached pages without flushing (crash simulation for tests;
@@ -133,7 +124,8 @@ class Database : public ChangeApplier {
   Database() = default;
 
   Status RecoverAndLoad();
-  /// Groups initialized data pages by owning table id (skips index pages).
+  /// Groups initialized data pages by owning table id (skips the index
+  /// pages older files leaked).
   Result<std::unordered_map<uint32_t, std::vector<PageId>>> DiscoverPages();
 
   std::shared_ptr<Clock> clock_;
@@ -150,13 +142,6 @@ class Database : public ChangeApplier {
   // Declared after the subsystems it drives; its thread is stopped first
   // thing in ~Database, before the final flushes.
   std::unique_ptr<Checkpointer> checkpointer_;
-
-  // Held across BPlusTree::Create / CheckIntegrity (tree mutex, rank
-  // kRankTable), hence the database rank.
-  mutable Mutex index_mu_{"database.index", lockorder::kRankDatabase};
-  std::unordered_map<std::string, std::unique_ptr<BPlusTree>> indexes_
-      TENDAX_GUARDED_BY(index_mu_);
-  uint32_t next_index_id_ TENDAX_GUARDED_BY(index_mu_) = 1;
 
   RecoveryStats recovery_stats_;
 };

@@ -12,7 +12,7 @@ namespace tendax {
 /// Slot number within a slotted page.
 using SlotId = uint16_t;
 
-/// A record id: page number plus slot, packed for WAL records and indexes.
+/// A record id: page number plus slot, packed for WAL records.
 struct RecordId {
   PageId page = kInvalidPageId;
   SlotId slot = 0;

@@ -108,7 +108,9 @@ Status SearchEngine::IndexDocument(DocumentId doc) {
   postings.term_count = tokens.size();
   for (size_t i = 0; i < tokens.size(); ++i) {
     postings.positions[tokens[i]].push_back(i);
-    term_docs_[tokens[i]].insert(doc.value);
+  }
+  for (const auto& [term, positions] : postings.positions) {
+    term_docs_[term].insert(doc.value);
   }
   doc_postings_[doc.value] = std::move(postings);
   indexed_version_[doc.value] = version;

@@ -93,9 +93,10 @@ void BufferPool::MarkDirtyLocked(Page* page) {
   page->dirty_ = true;
   // WAL-logged pages carry the LSN of the record that just modified them,
   // which is exactly the earliest record whose effect is not yet on disk.
-  // Non-logged pages (indexes, derived data) have no records to redo, so
-  // the WAL cursor — no earlier record can ever target them — keeps them
-  // from dragging redo_lsn (and with it, log truncation) backwards.
+  // A page no logged record has touched yet (a freshly initialized heap
+  // page) has nothing to redo, so the WAL cursor — no earlier record can
+  // ever target it — keeps it from dragging redo_lsn (and with it, log
+  // truncation) backwards.
   page->rec_lsn_ =
       page->lsn() != 0 ? page->lsn() : (wal_ != nullptr ? wal_->next_lsn() : 1);
 }

@@ -35,6 +35,7 @@ std::string CharListSnapshot::Text() const {
   std::string out;
   out.reserve(info_.length);
   for (const auto& seg : segments_) {
+    if (seg->live == 0) continue;
     for (const SnapChar& c : seg->chars) {
       if (c.deleted == 0) AppendUtf8(&out, c.cp);
     }
@@ -371,6 +372,22 @@ bool VersionedCharList::TombstoneById(uint64_t id, Version deleted) {
         seg->chars[i].deleted = deleted;
         --seg->live;
         --live_;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool VersionedCharList::ResurrectById(uint64_t id) {
+  for (size_t s = 0; s < segs_.size(); ++s) {
+    const auto& chars = segs_[s]->chars;
+    for (size_t i = 0; i < chars.size(); ++i) {
+      if (chars[i].id == id && chars[i].deleted != 0) {
+        SnapSegment* seg = Own(s);
+        seg->chars[i].deleted = 0;
+        ++seg->live;
+        ++live_;
         return true;
       }
     }

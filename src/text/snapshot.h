@@ -167,6 +167,9 @@ class VersionedCharList {
   void TombstoneRange(size_t live_pos, size_t len, Version deleted);
   /// Tombstones the live character with `id`; false if not live.
   bool TombstoneById(uint64_t id, Version deleted);
+  /// Revives the tombstoned character with `id` where it stands; false if
+  /// it is not a tombstone.
+  bool ResurrectById(uint64_t id);
   /// Physically drops tombstones with deleted <= before; returns the count.
   uint64_t PurgeBelow(Version before);
 

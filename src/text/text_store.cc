@@ -54,6 +54,10 @@ Schema CharsSchema() {
                  {"src_external", ColumnType::kString}});
 }
 
+Schema TextMetaSchema() {
+  return Schema({{"purged_char_high", ColumnType::kUint64}});
+}
+
 Schema DocsSchema() {
   return Schema({{"doc_id", ColumnType::kUint64},
                  {"name", ColumnType::kString},
@@ -102,40 +106,37 @@ Status TextStore::Init() {
   if (!docs.ok()) return docs.status();
   docs_table_ = *docs;
 
-  auto char_index = db_->CreateIndex("tendax_char_rid");
-  if (!char_index.ok()) return char_index.status();
-  char_index_ = *char_index;
-  auto doc_index = db_->CreateIndex("tendax_doc_rid");
-  if (!doc_index.ok()) return doc_index.status();
-  doc_index_ = *doc_index;
+  auto meta = db_->EnsureTable("tendax_text_meta", TextMetaSchema());
+  if (!meta.ok()) return meta.status();
+  meta_table_ = *meta;
 
-  // Rebuild derived state (indexes are not persisted).
+  // Rebuild derived state: the rid maps and the id counters. A purged char
+  // is gone from the table, so its id only survives in the meta row.
   uint64_t max_char = 0, max_doc = 0;
-  Status index_status = Status::OK();
+  std::unordered_map<uint64_t, RecordId> by_char, by_doc;
   TENDAX_RETURN_IF_ERROR(
       chars_table_->Scan([&](RecordId rid, const Record& rec) {
         uint64_t id = rec.GetUint(kCcId);
         max_char = std::max(max_char, id);
-        Status st = char_index_->Insert(id, rid.Pack());
-        if (!st.ok()) {
-          index_status = st;
-          return false;
-        }
+        by_char[id] = rid;
         return true;
       }));
-  TENDAX_RETURN_IF_ERROR(index_status);
   TENDAX_RETURN_IF_ERROR(
       docs_table_->Scan([&](RecordId rid, const Record& rec) {
         uint64_t id = rec.GetUint(kDcId);
         max_doc = std::max(max_doc, id);
-        Status st = doc_index_->Insert(id, rid.Pack());
-        if (!st.ok()) {
-          index_status = st;
-          return false;
-        }
+        by_doc[id] = rid;
         return true;
       }));
-  TENDAX_RETURN_IF_ERROR(index_status);
+  TENDAX_RETURN_IF_ERROR(meta_table_->Scan([&](RecordId, const Record& rec) {
+    max_char = std::max(max_char, rec.GetUint(0));
+    return true;
+  }));
+  {
+    MutexLock lock(rids_mu_);
+    rids_[kCharRids] = std::move(by_char);
+    rids_[kDocRids] = std::move(by_doc);
+  }
   next_char_id_ = max_char + 1;
   next_doc_id_ = max_doc + 1;
 
@@ -162,13 +163,7 @@ Result<DocumentId> TextStore::CreateDocument(UserId user,
                 uint64_t{0}, uint64_t{0}});
     auto rid = docs_table_->Insert(txn, rec);
     if (!rid.ok()) return rid.status();
-    TENDAX_RETURN_IF_ERROR(doc_index_->Insert(doc.value, rid->Pack()));
-    {
-      BPlusTree* index = doc_index_;
-      uint64_t id = doc.value, packed = rid->Pack();
-      txn->AddRollbackAction(
-          [index, id, packed] { (void)index->Delete(id, packed); });
-    }
+    SetRid(txn, kDocRids, doc.value, *rid);
     ChangeEvent ev;
     ev.kind = ChangeKind::kDocumentCreated;
     ev.doc = doc;
@@ -199,16 +194,41 @@ Result<std::shared_ptr<TextStore::DocHandle>> TextStore::Handle(
   return handle;
 }
 
+std::optional<RecordId> TextStore::FindRid(RidMap map, uint64_t id) const {
+  MutexLock lock(rids_mu_);
+  auto it = rids_[map].find(id);
+  if (it == rids_[map].end()) return std::nullopt;
+  return it->second;
+}
+
+void TextStore::SetRid(Transaction* txn, RidMap map, uint64_t id,
+                       std::optional<RecordId> rid) {
+  std::optional<RecordId> prev;
+  {
+    MutexLock lock(rids_mu_);
+    auto it = rids_[map].find(id);
+    if (it != rids_[map].end()) {
+      prev = it->second;
+      rids_[map].erase(it);
+    }
+    if (rid) rids_[map].emplace(id, *rid);
+  }
+  txn->AddRollbackAction([this, map, id, prev] {
+    MutexLock lock(rids_mu_);
+    rids_[map].erase(id);
+    if (prev) rids_[map].emplace(id, *prev);
+  });
+}
+
 Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
-  auto rid_packed = doc_index_->GetFirst(doc.value);
-  if (!rid_packed.ok()) {
+  std::optional<RecordId> doc_rid = FindRid(kDocRids, doc.value);
+  if (!doc_rid) {
     return Status::NotFound("document " + doc.ToString() + " does not exist");
   }
-  RecordId doc_rid = RecordId::Unpack(*rid_packed);
-  auto rec = docs_table_->Get(doc_rid);
+  auto rec = docs_table_->Get(*doc_rid);
   if (!rec.ok()) return rec.status();
 
-  handle->doc_rid = doc_rid;
+  handle->doc_rid = *doc_rid;
   handle->id = doc;
   handle->name = rec->GetString(kDcName);
   handle->creator = UserId(rec->GetUint(kDcCreator));
@@ -219,22 +239,19 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
   handle->head = rec->GetUint(kDcHead);
   handle->tail = rec->GetUint(kDcTail);
   handle->chain.Clear();
-  handle->char_rids.clear();
 
   // Walk the linked character records (including tombstones) to rebuild the
   // in-memory chain cache.
   std::vector<SnapChar> chain;
   uint64_t current = handle->head;
   while (current != 0) {
-    auto packed = char_index_->GetFirst(current);
-    if (!packed.ok()) {
+    std::optional<RecordId> rid = FindRid(kCharRids, current);
+    if (!rid) {
       return Status::Corruption("char chain references unknown char " +
                                 std::to_string(current));
     }
-    RecordId rid = RecordId::Unpack(*packed);
-    auto crec = chars_table_->Get(rid);
+    auto crec = chars_table_->Get(*rid);
     if (!crec.ok()) return crec.status();
-    handle->char_rids[current] = rid;
     SnapChar sc;
     sc.id = current;
     sc.cp = static_cast<uint32_t>(crec->GetUint(kCcCp));
@@ -252,14 +269,13 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
 }
 
 Status TextStore::EnsureFreshBase(DocHandle* handle, DocumentId doc) {
-  auto rid_packed = doc_index_->GetFirst(doc.value);
-  if (!rid_packed.ok()) {
+  std::optional<RecordId> doc_rid = FindRid(kDocRids, doc.value);
+  if (!doc_rid) {
     return Status::NotFound("document " + doc.ToString() + " does not exist");
   }
-  RecordId doc_rid = RecordId::Unpack(*rid_packed);
-  auto rec = docs_table_->Get(doc_rid);
+  auto rec = docs_table_->Get(*doc_rid);
   if (!rec.ok()) return rec.status();
-  if (handle->loaded && handle->doc_rid == doc_rid &&
+  if (handle->loaded && handle->doc_rid == *doc_rid &&
       handle->version == rec->GetUint(kDcVersion)) {
     return Status::OK();
   }
@@ -291,7 +307,6 @@ bool TextStore::EvictDocument(DocumentId doc) {
       handle->snapshot = nullptr;
     }
     handle->chain.Clear();
-    handle->char_rids.clear();
   }
   MetricAdd(m_evictions_);
   return true;
@@ -408,35 +423,27 @@ Result<SnapshotRef> TextStore::AcquireSnapshot(DocumentId doc) {
 
 Result<Record> TextStore::ReadCharRecord(DocHandle* handle,
                                          uint64_t char_id) {
-  auto it = handle->char_rids.find(char_id);
-  if (it == handle->char_rids.end()) {
-    return Status::NotFound("char " + std::to_string(char_id) +
-                            " not in document");
+  // The map spans every document: the record's own doc id is what keeps
+  // an id from another document out of this one's edits and reads.
+  std::optional<RecordId> rid = FindRid(kCharRids, char_id);
+  if (rid) {
+    auto rec = chars_table_->Get(*rid);
+    if (!rec.ok() || rec->GetUint(kCcDoc) == handle->id.value) return rec;
   }
-  return chars_table_->Get(it->second);
+  return Status::NotFound("char " + std::to_string(char_id) +
+                          " not in document");
 }
 
 Status TextStore::UpdateCharRecord(Transaction* txn, DocHandle* handle,
                                    uint64_t char_id, const Record& record) {
-  auto it = handle->char_rids.find(char_id);
-  if (it == handle->char_rids.end()) {
+  std::optional<RecordId> old_rid = FindRid(kCharRids, char_id);
+  if (!old_rid || record.GetUint(kCcDoc) != handle->id.value) {
     return Status::NotFound("char " + std::to_string(char_id) +
                             " not in document");
   }
-  RecordId old_rid = it->second;
-  auto new_rid = chars_table_->Update(txn, old_rid, record);
+  auto new_rid = chars_table_->Update(txn, *old_rid, record);
   if (!new_rid.ok()) return new_rid.status();
-  if (new_rid->Pack() != old_rid.Pack()) {
-    it->second = *new_rid;
-    TENDAX_RETURN_IF_ERROR(char_index_->Delete(char_id, old_rid.Pack()));
-    TENDAX_RETURN_IF_ERROR(char_index_->Insert(char_id, new_rid->Pack()));
-    BPlusTree* index = char_index_;
-    uint64_t moved_to = new_rid->Pack(), moved_from = old_rid.Pack();
-    txn->AddRollbackAction([index, char_id, moved_to, moved_from] {
-      (void)index->Delete(char_id, moved_to);
-      (void)index->Insert(char_id, moved_from);
-    });
-  }
+  if (*new_rid != *old_rid) SetRid(txn, kCharRids, char_id, *new_rid);
   return Status::OK();
 }
 
@@ -448,17 +455,9 @@ Status TextStore::WriteDocRecord(Transaction* txn, DocHandle* handle) {
               uint64_t{handle->purge_floor}});
   auto new_rid = docs_table_->Update(txn, handle->doc_rid, rec);
   if (!new_rid.ok()) return new_rid.status();
-  if (new_rid->Pack() != handle->doc_rid.Pack()) {
-    uint64_t moved_from = handle->doc_rid.Pack(), moved_to = new_rid->Pack();
-    TENDAX_RETURN_IF_ERROR(doc_index_->Delete(handle->id.value, moved_from));
-    TENDAX_RETURN_IF_ERROR(doc_index_->Insert(handle->id.value, moved_to));
+  if (*new_rid != handle->doc_rid) {
+    SetRid(txn, kDocRids, handle->id.value, *new_rid);
     handle->doc_rid = *new_rid;
-    BPlusTree* index = doc_index_;
-    uint64_t doc_id = handle->id.value;
-    txn->AddRollbackAction([index, doc_id, moved_to, moved_from] {
-      (void)index->Delete(doc_id, moved_to);
-      (void)index->Insert(doc_id, moved_from);
-    });
   }
   return Status::OK();
 }
@@ -558,14 +557,7 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
                 chars[i].src_external});
     auto rid = chars_table_->Insert(txn, rec);
     if (!rid.ok()) return rid.status();
-    handle->char_rids[ids[i]] = *rid;
-    TENDAX_RETURN_IF_ERROR(char_index_->Insert(ids[i], rid->Pack()));
-    {
-      BPlusTree* index = char_index_;
-      uint64_t id = ids[i], packed = rid->Pack();
-      txn->AddRollbackAction(
-          [index, id, packed] { (void)index->Delete(id, packed); });
-    }
+    SetRid(txn, kCharRids, ids[i], *rid);
     SnapChar sc;
     sc.id = ids[i];
     sc.cp = chars[i].cp;
@@ -713,14 +705,8 @@ Result<EditResult> TextStore::ResurrectChars(UserId user, DocumentId doc,
           rec->value(kCcDelVer) = uint64_t{0};
           rec->value(kCcDeletedBy) = uint64_t{0};
           TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id.value, *rec));
+          h->chain.ResurrectById(id.value);
           out->chars.push_back(id);
-        }
-        // Positions of revived characters derive from the chain; rebuild
-        // the order cache from the database (rare operation: undo only).
-        Status reload = LoadHandle(h, doc);
-        if (!reload.ok()) {
-          h->loaded = false;
-          return reload;
         }
         return Status::OK();
       });
@@ -868,23 +854,19 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
         // version >= it already saw all purged characters as dead, so
         // reads at or above the floor stay exact).
         Version max_del = 0;
+        uint64_t max_id = 0;
         for (const Node& node : chain) {
           if (!purgeable(node)) continue;
-          auto it = h->char_rids.find(node.id);
-          if (it == h->char_rids.end()) continue;
-          TENDAX_RETURN_IF_ERROR(chars_table_->Delete(txn, it->second));
-          TENDAX_RETURN_IF_ERROR(
-              char_index_->Delete(node.id, it->second.Pack()));
-          {
-            BPlusTree* index = char_index_;
-            uint64_t id = node.id, packed = it->second.Pack();
-            txn->AddRollbackAction([index, id, packed] {
-              (void)index->Insert(id, packed);
-            });
-          }
-          h->char_rids.erase(it);
+          std::optional<RecordId> rid = FindRid(kCharRids, node.id);
+          if (!rid) continue;
+          TENDAX_RETURN_IF_ERROR(chars_table_->Delete(txn, *rid));
+          SetRid(txn, kCharRids, node.id, std::nullopt);
           max_del = std::max(max_del, node.del_ver);
+          max_id = std::max(max_id, node.id);
           ++purged;
+        }
+        if (max_id != 0) {
+          TENDAX_RETURN_IF_ERROR(RaisePurgedCharHigh(txn, max_id));
         }
         uint64_t chain_purged = h->chain.PurgeBelow(before);
         TENDAX_CHECK(chain_purged == purged);
@@ -895,6 +877,23 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
       });
   if (!result.ok()) return result.status();
   return purged;
+}
+
+Status TextStore::RaisePurgedCharHigh(Transaction* txn, uint64_t id) {
+  // Purges of different documents serialize on the row's table lock.
+  TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
+      txn->id(), MakeResource(ResourceKind::kTable, meta_table_->table_id()),
+      LockMode::kX));
+  std::optional<RecordId> row;
+  uint64_t high = 0;
+  TENDAX_RETURN_IF_ERROR(meta_table_->Scan([&](RecordId rid, const Record& rec) {
+    row = rid;
+    high = rec.GetUint(0);
+    return false;
+  }));
+  if (!row) return meta_table_->Insert(txn, Record({id})).status();
+  if (high >= id) return Status::OK();
+  return meta_table_->Update(txn, *row, Record({id})).status();
 }
 
 Result<DocumentInfo> TextStore::GetDocumentInfo(DocumentId doc) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,8 +73,8 @@ class TextStore {
  public:
   explicit TextStore(Database* db);
 
-  /// Creates tables/indexes and rebuilds derived state (id counters and the
-  /// char-id -> rid index) from storage. Call once after Database::Open.
+  /// Creates the tables and rebuilds derived state (id counters and the
+  /// id -> rid maps) from storage. Call once after Database::Open.
   Status Init();
 
   // --- document lifecycle ---
@@ -179,8 +180,8 @@ class TextStore {
  private:
   struct DocHandle {
     // Outer lock of the edit path (rank kRankDocument): held across the
-    // whole editing transaction — heap tables, indexes, txn manager, WAL
-    // all rank higher. Instances are peers; cross-document nesting (e.g. a
+    // whole editing transaction — heap tables, txn manager, WAL all rank
+    // higher. Instances are peers; cross-document nesting (e.g. a
     // paste reading its copy source) generates no lock-order edge.
     Mutex mu{"textstore.doc", lockorder::kRankDocument};
     bool loaded TENDAX_GUARDED_BY(mu) = false;
@@ -199,8 +200,6 @@ class TextStore {
     uint64_t tail TENDAX_GUARDED_BY(mu) = 0;
     // Full chain including tombstones, copy-on-write with snapshots.
     VersionedCharList chain TENDAX_GUARDED_BY(mu);
-    std::unordered_map<uint64_t, RecordId> char_rids
-        TENDAX_GUARDED_BY(mu);  // all chars
     // The MVCC publication slot. The slot has its own leaf mutex so the
     // read fast path copies the shared_ptr without touching `mu` (or any
     // LockManager state) — the critical section is a refcount bump, never
@@ -257,6 +256,18 @@ class TextStore {
   /// snapshots).
   void OnCommitted(const ChangeBatch& events) TENDAX_EXCLUDES(handles_mu_);
 
+  // The two id -> rid maps, indexed by RidMap.
+  enum RidMap { kCharRids = 0, kDocRids = 1 };
+  /// Where record `id` of `map` lives, if anywhere.
+  std::optional<RecordId> FindRid(RidMap map, uint64_t id) const
+      TENDAX_EXCLUDES(rids_mu_);
+  /// Points `id` at `rid` (erases it for nullopt); an abort of `txn` puts
+  /// back the previous entry.
+  void SetRid(Transaction* txn, RidMap map, uint64_t id,
+              std::optional<RecordId> rid) TENDAX_EXCLUDES(rids_mu_);
+
+  /// The record of `char_id`; NotFound unless it belongs to the handle's
+  /// document.
   Result<Record> ReadCharRecord(DocHandle* handle, uint64_t char_id)
       TENDAX_REQUIRES(handle->mu);
   Status UpdateCharRecord(Transaction* txn, DocHandle* handle,
@@ -264,6 +275,9 @@ class TextStore {
       TENDAX_REQUIRES(handle->mu);
   Status WriteDocRecord(Transaction* txn, DocHandle* handle)
       TENDAX_REQUIRES(handle->mu);
+  /// Raises the stored highest purged char id to `id`, so Init never hands
+  /// a purged id out again.
+  Status RaisePurgedCharHigh(Transaction* txn, uint64_t id);
   /// Core insertion: links `chars` after the live character at pos-1.
   Status InsertCharsAt(Transaction* txn, DocHandle* handle, UserId user,
                        size_t pos, const std::vector<PasteChar>& chars,
@@ -273,8 +287,15 @@ class TextStore {
   Database* const db_;
   HeapTable* chars_table_ = nullptr;
   HeapTable* docs_table_ = nullptr;
-  BPlusTree* char_index_ = nullptr;  // char_id -> rid
-  BPlusTree* doc_index_ = nullptr;   // doc_id -> rid
+  // One row: the highest char id PurgeHistory ever deleted.
+  HeapTable* meta_table_ = nullptr;
+
+  // Char id -> rid and doc id -> rid, over every record (tombstones too).
+  // Derived data: Init fills them from the tables, edits keep them current
+  // and roll them back on abort. Taken per lookup, never across a
+  // buffer-pool fetch.
+  mutable Mutex rids_mu_{"textstore.rids", lockorder::kRankLeaf};
+  std::unordered_map<uint64_t, RecordId> rids_[2] TENDAX_GUARDED_BY(rids_mu_);
 
   std::shared_ptr<SnapshotTracker> tracker_;
   Counter* m_evictions_ = nullptr;

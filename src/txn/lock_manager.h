@@ -37,6 +37,7 @@ enum class ResourceKind : uint8_t {
   kCatalog = 3,    // schema-level operations
   kFolder = 4,
   kProcess = 5,
+  kTable = 6,      // a whole table (keyed by table id)
 };
 
 /// Packs a resource kind and entity id into the flat lock key space.

@@ -52,7 +52,7 @@ inline constexpr int kRankWorkflow = 30;      // workflow engine
 inline constexpr int kRankDocument = 40;      // document/meta/folders/search
 inline constexpr int kRankUndo = 50;          // collab/undo_manager
 inline constexpr int kRankDatabase = 60;      // db/database, catalog
-inline constexpr int kRankTable = 70;         // heap tables, b+tree, text
+inline constexpr int kRankTable = 70;         // heap tables, text
 inline constexpr int kRankPageLatch = 75;     // storage/page latch: taken
                                               // after the table mutex and
                                               // held across LogUpdate (txn,

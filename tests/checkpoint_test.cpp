@@ -441,6 +441,51 @@ TEST(CheckpointServerTest, InMemoryServerLogStaysBoundedUnderCheckpointer) {
   EXPECT_LT(live.size(), 16u * 1024) << "the live log grew with history";
 }
 
+// Reopening rebuilds TextStore's rid maps in memory; a restart with no
+// edits must not allocate a single page.
+TEST(CheckpointServerTest, ReopenWithoutEditsKeepsTheDataFileSize) {
+  const std::string dir = ::testing::TempDir() + "tendax_reopen_pages";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/db";
+  auto open = [&] {
+    TendaxOptions options;
+    options.db.path = path;
+    return TendaxServer::Open(std::move(options));
+  };
+  constexpr size_t kChars = 20000;
+  DocumentId doc;
+  {
+    auto server = open();
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto user = (*server)->accounts()->CreateUser("typist");
+    ASSERT_TRUE(user.ok());
+    auto d = (*server)->text()->CreateDocument(*user, "long.txt");
+    ASSERT_TRUE(d.ok());
+    doc = *d;
+    for (size_t at = 0; at < kChars; at += 100) {
+      ASSERT_TRUE((*server)
+                      ->text()
+                      ->InsertText(*user, doc, at, std::string(100, 'k'))
+                      .ok());
+    }
+  }
+  const uintmax_t written = std::filesystem::file_size(path);
+  for (int reopen = 1; reopen <= 5; ++reopen) {
+    {
+      auto server = open();
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      EXPECT_EQ(*(*server)->text()->Length(doc), kChars);
+      Status integrity = (*server)->CheckIntegrity();
+      EXPECT_TRUE(integrity.ok()) << integrity.ToString();
+    }
+    EXPECT_EQ(std::filesystem::file_size(path) / kPageSize,
+              written / kPageSize)
+        << "reopen " << reopen << " grew the data file";
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A transaction active across the checkpoint holds truncation back (its
 // undo chain must survive) and is rolled back as a loser after the crash.
 TEST_F(CheckpointDbTest, ActiveTxnHoldsTruncationAndRecoversAsLoser) {

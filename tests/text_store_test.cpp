@@ -345,6 +345,89 @@ TEST_F(TextStoreTest, HandleReloadMatchesCache) {
   store_->InvalidateHandle(doc_);
   EXPECT_EQ(*store_->Text(doc_), before);
   EXPECT_EQ(*store_->Length(doc_), before.size());
+
+  // A resurrect revives chars in the cached chain in place; a reload from
+  // the records must agree on text, chain order and every version.
+  auto del = store_->DeleteRange(alice_, doc_, 2, 5);  // v3
+  ASSERT_TRUE(del.ok());
+  ASSERT_TRUE(store_->InsertText(alice_, doc_, 2, "XY").ok());  // v4
+  std::vector<CharId> revive = {del->chars[4], del->chars[0], del->chars[2]};
+  ASSERT_TRUE(store_->ResurrectChars(bob_, doc_, revive).ok());  // v5
+  auto chain_ids = [&] {
+    auto chain = store_->FullChain(doc_);
+    std::vector<uint64_t> ids;
+    for (const CharInfo& c : *chain) ids.push_back(c.id.value);
+    return ids;
+  };
+  const std::string cached = *store_->Text(doc_);
+  const std::vector<uint64_t> cached_chain = chain_ids();
+  std::vector<std::string> cached_versions;
+  for (Version v = 0; v <= 5; ++v) {
+    cached_versions.push_back(*store_->TextAtVersion(doc_, v));
+  }
+  store_->InvalidateHandle(doc_);
+  EXPECT_EQ(*store_->Text(doc_), cached);
+  EXPECT_EQ(*store_->Length(doc_), cached.size());
+  EXPECT_EQ(chain_ids(), cached_chain);
+  for (Version v = 0; v <= 5; ++v) {
+    EXPECT_EQ(*store_->TextAtVersion(doc_, v), cached_versions[v])
+        << "version " << v;
+  }
+}
+
+// Tombstoning by a user with a long id grows each record, so on full
+// pages the updates move records. An abort must put every moved char's
+// location back, or the next edit reads a slot the undo emptied.
+TEST_F(TextStoreTest, AbortedEditRestoresMovedRecordLocations) {
+  auto ins = store_->InsertText(alice_, doc_, 0, std::string(3000, 'm'));
+  ASSERT_TRUE(ins.ok());
+  auto other = store_->CreateDocument(bob_, "other.txt");
+  ASSERT_TRUE(other.ok());
+  auto foreign = store_->InsertText(bob_, *other, 0, "f");
+  ASSERT_TRUE(foreign.ok());
+  const UserId far_user(1u << 20);
+  std::vector<CharId> victims(ins->chars.begin(), ins->chars.begin() + 200);
+  std::vector<CharId> with_foreign = victims;
+  with_foreign.push_back(foreign->chars[0]);
+  EXPECT_TRUE(store_->DeleteChars(far_user, doc_, with_foreign)
+                  .status()
+                  .IsNotFound());
+  EXPECT_EQ(store_->Length(doc_).value_or(0), 3000u);
+
+  auto deleted = store_->DeleteChars(far_user, doc_, victims);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(store_->Length(doc_).value_or(0), 2800u);
+  for (CharId id : victims) {
+    auto info = store_->GetChar(doc_, id);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->deleted_by, far_user);
+  }
+  store_->InvalidateHandle(doc_);
+  EXPECT_EQ(store_->Text(doc_).value_or(""), std::string(2800, 'm'));
+  EXPECT_TRUE(db_->CheckIntegrity().ok());
+}
+
+TEST_F(TextStoreTest, CharIdFromAnotherDocumentIsRefused) {
+  auto other = store_->CreateDocument(bob_, "other.txt");
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(store_->InsertText(alice_, doc_, 0, "mine").ok());
+  auto theirs = store_->InsertText(bob_, *other, 0, "theirs");
+  ASSERT_TRUE(theirs.ok());
+  auto gone = store_->DeleteRange(bob_, *other, 0, 1);
+  ASSERT_TRUE(gone.ok());
+  const CharId live = theirs->chars[1], dead = gone->chars[0];
+
+  EXPECT_TRUE(store_->GetChar(doc_, live).status().IsNotFound());
+  EXPECT_TRUE(store_->DeleteChars(alice_, doc_, {live}).status().IsNotFound());
+  EXPECT_TRUE(
+      store_->ResurrectChars(alice_, doc_, {dead}).status().IsNotFound());
+
+  EXPECT_EQ(*store_->Text(doc_), "mine");
+  EXPECT_EQ(*store_->CurrentVersion(doc_), 1u);
+  EXPECT_EQ(*store_->Text(*other), "heirs");
+  EXPECT_EQ(*store_->CurrentVersion(*other), 2u);
+  EXPECT_EQ(store_->GetChar(*other, live)->deleted_version, 0u);
+  EXPECT_EQ(store_->GetChar(*other, dead)->deleted_version, 2u);
 }
 
 TEST_F(TextStoreTest, ConcurrentEditorsOnSameDocumentSerialize) {
@@ -437,6 +520,57 @@ TEST(TextStoreRecoveryTest, DocumentsSurviveCrash) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->name, "crashdoc");
   EXPECT_EQ(info->version, 3u);
+}
+
+// Purged char ids stay retired across a reopen: the provenance of a copy
+// taken before the purge must never come to name a later keystroke.
+TEST(TextStoreRecoveryTest, PurgedCharIdsAreNotReusedAfterReopen) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  auto open = [&] {
+    DatabaseOptions options;
+    options.disk = disk;
+    options.log_storage = log;
+    options.buffer_pool_pages = 256;
+    return *Database::Open(options);
+  };
+  DocumentId doc, copy_doc;
+  std::vector<CharId> typed;
+  std::vector<PasteChar> clipboard;
+  {
+    auto db = open();
+    TextStore store(db.get());
+    ASSERT_TRUE(store.Init().ok());
+    doc = *store.CreateDocument(UserId(1), "source");
+    copy_doc = *store.CreateDocument(UserId(1), "copy");
+    auto ins = store.InsertText(UserId(1), doc, 0, "abcdef");
+    ASSERT_TRUE(ins.ok());
+    typed = ins->chars;
+    clipboard = *store.Copy(UserId(1), doc, 3, 3);  // "def"
+    ASSERT_TRUE(store.DeleteRange(UserId(1), doc, 3, 3).ok());
+    auto purged = store.PurgeHistory(UserId(1), doc, 2);
+    ASSERT_TRUE(purged.ok());
+    ASSERT_EQ(*purged, 3u);
+  }
+  auto db = open();
+  TextStore store(db.get());
+  ASSERT_TRUE(store.Init().ok());
+  auto xyz = store.InsertText(UserId(1), doc, 3, "xyz");
+  ASSERT_TRUE(xyz.ok());
+  EXPECT_EQ(*store.Text(doc), "abcxyz");
+  for (CharId id : xyz->chars) {
+    for (CharId old : typed) EXPECT_NE(id.value, old.value) << "id reused";
+  }
+  // Pasting the old clipboard records the purged chars as its source; they
+  // must stay unresolvable rather than turn into "xyz".
+  auto pasted = store.Paste(UserId(1), copy_doc, 0, clipboard);
+  ASSERT_TRUE(pasted.ok());
+  for (CharId id : pasted->chars) {
+    auto info = store.GetChar(copy_doc, id);
+    ASSERT_TRUE(info.ok());
+    EXPECT_TRUE(store.GetChar(doc, info->src_char).status().IsNotFound())
+        << "src_char " << info->src_char.value << " resolves again";
+  }
 }
 
 }  // namespace
