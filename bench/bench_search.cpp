@@ -1,6 +1,6 @@
 // E7 — meta-data-based search and ranking: query latency for each ranking
-// option against corpus size, phrase verification, and the index-freshness
-// ablation (lazy mark-dirty vs eager per-commit re-indexing).
+// option against corpus size, phrase verification, and the cost of the
+// first query after a burst of edits (the deferred index refresh).
 
 #include <benchmark/benchmark.h>
 
@@ -125,36 +125,6 @@ void BM_SearchWithMetadataFilter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchWithMetadataFilter)->Arg(100)->Arg(1000);
-
-// Ablation: cost one editing transaction pays for index maintenance under
-// the lazy policy (mark dirty) ...
-void BM_EditWithLazyIndex(benchmark::State& state) {
-  SearchEnv* env = SearchEnv::Get(__func__);
-  env->EnsureCorpus(100);
-  env->server->search()->SetEagerIndexing(false);
-  DocumentId doc = env->docs[0];
-  for (auto _ : state) {
-    auto r = env->server->text()->InsertText(env->writer, doc, 0, "x");
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EditWithLazyIndex);
-
-// ... vs the eager policy (full re-tokenize per committed edit).
-void BM_EditWithEagerIndex(benchmark::State& state) {
-  SearchEnv* env = SearchEnv::Get(__func__);
-  env->EnsureCorpus(100);
-  env->server->search()->SetEagerIndexing(true);
-  DocumentId doc = env->docs[1];
-  for (auto _ : state) {
-    auto r = env->server->text()->InsertText(env->writer, doc, 0, "x");
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-  }
-  env->server->search()->SetEagerIndexing(false);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EditWithEagerIndex);
 
 // First query after a burst of edits pays the deferred re-indexing.
 void BM_QueryAfterEditBurst(benchmark::State& state) {

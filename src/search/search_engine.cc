@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 
 #include "util/deadline.h"
+#include "util/logging.h"
 
 namespace tendax {
 
@@ -22,18 +24,191 @@ const char* RankingName(Ranking ranking) {
   return "?";
 }
 
-std::vector<std::string> Tokenize(const std::string& text) {
-  std::vector<std::string> out;
+namespace {
+
+// The tokenizer's word bytes and case folding: ASCII only, which is what
+// std::isalnum / std::tolower do in the C locale, minus their per-byte
+// locale lookup. Bytes of a multibyte UTF-8 code point are never word
+// bytes, so word boundaries fall on code points.
+bool IsWordByte(unsigned char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+char AsciiLower(unsigned char c) {
+  return static_cast<char>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c);
+}
+
+// Calls `emit` with each lowercased token of `text`, in order.
+template <typename Emit>
+void ForEachToken(const std::string& text, Emit emit) {
   std::string current;
   for (unsigned char c : text) {
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+    if (IsWordByte(c)) {
+      current.push_back(AsciiLower(c));
     } else if (!current.empty()) {
-      out.push_back(std::move(current));
+      emit(std::move(current));
       current.clear();
     }
   }
-  if (!current.empty()) out.push_back(std::move(current));
+  if (!current.empty()) emit(std::move(current));
+}
+
+using Segments = std::vector<std::shared_ptr<const SnapSegment>>;
+using TermDelta = std::unordered_map<std::string, int64_t>;
+
+void AddTokens(const std::string& text, int64_t sign, TermDelta* delta) {
+  ForEachToken(text, [&](std::string token) {
+    (*delta)[std::move(token)] += sign;
+  });
+}
+
+void AppendTexts(const Segments& segs, size_t begin, size_t end,
+                 std::string* out) {
+  for (size_t s = begin; s < end; ++s) *out += segs[s]->text;
+}
+
+// Appends the text of segs[begin, end) up to its first separator; returns
+// whether there was one (false: the whole run was appended).
+bool AppendLeadingWord(const Segments& segs, size_t begin, size_t end,
+                       std::string* out) {
+  for (size_t s = begin; s < end; ++s) {
+    const std::string& text = segs[s]->text;
+    for (size_t i = 0; i < text.size(); ++i) {
+      if (!IsWordByte(text[i])) {
+        out->append(text, 0, i);
+        return true;
+      }
+    }
+    *out += text;
+  }
+  return false;
+}
+
+// Appends the text of segs[begin, end) after its last separator (all of it
+// if there is none).
+void AppendTrailingWord(const Segments& segs, size_t begin, size_t end,
+                        std::string* out) {
+  for (size_t s = end; s-- > begin;) {
+    const std::string& text = segs[s]->text;
+    for (size_t i = text.size(); i > 0; --i) {
+      if (!IsWordByte(text[i - 1])) {
+        out->append(text, i);
+        AppendTexts(segs, s + 1, end, out);
+        return;
+      }
+    }
+  }
+  AppendTexts(segs, begin, end, out);
+}
+
+// Where two segment lists differ: old[old_begin, old_end) was replaced by
+// new[new_begin, new_end), between two segments both lists share.
+struct Gap {
+  size_t old_begin, old_end;
+  size_t new_begin, new_end;
+};
+
+// The gaps between the segments `old_segs` and `new_segs` share by pointer.
+// Copy-on-write never reorders segments, so the shared ones must form an
+// ordered common subsequence; if they do not, the whole list is one gap.
+std::vector<Gap> SegmentGaps(const Segments& old_segs,
+                             const Segments& new_segs) {
+  // Edits between two refreshes are usually in one place: step over the
+  // shared head and tail before indexing what lies between.
+  size_t head = 0;
+  while (head < old_segs.size() && head < new_segs.size() &&
+         old_segs[head] == new_segs[head]) {
+    ++head;
+  }
+  size_t old_tail = old_segs.size();
+  size_t new_tail = new_segs.size();
+  while (old_tail > head && new_tail > head &&
+         old_segs[old_tail - 1] == new_segs[new_tail - 1]) {
+    --old_tail;
+    --new_tail;
+  }
+  // (address, position) of the old segments in between, sorted for binary
+  // search: one allocation, where a node-based hash map takes one each.
+  std::vector<std::pair<uintptr_t, size_t>> old_index;
+  old_index.reserve(old_tail - head);
+  for (size_t i = head; i < old_tail; ++i) {
+    old_index.emplace_back(reinterpret_cast<uintptr_t>(old_segs[i].get()), i);
+  }
+  std::sort(old_index.begin(), old_index.end());
+  std::vector<Gap> gaps;
+  size_t old_next = head;  // just past the last shared segment
+  size_t new_next = head;
+  for (size_t j = head; j <= new_tail; ++j) {
+    size_t i = old_tail;  // the shared tail acts as a final shared segment
+    if (j < new_tail) {
+      const auto key = reinterpret_cast<uintptr_t>(new_segs[j].get());
+      auto it = std::lower_bound(old_index.begin(), old_index.end(),
+                                 std::make_pair(key, size_t{0}));
+      if (it == old_index.end() || it->first != key) continue;
+      i = it->second;
+    }
+    if (i < old_next) {
+      return {Gap{0, old_segs.size(), 0, new_segs.size()}};
+    }
+    if (i > old_next || j > new_next) {
+      gaps.push_back(Gap{old_next, i, new_next, j});
+    }
+    old_next = i + 1;
+    new_next = j + 1;
+  }
+  return gaps;
+}
+
+// Token count changes that turn the content of `old_segs` into that of
+// `new_segs`. Each gap is widened to word boundaries inside the shared
+// segments around it, so no token crosses a window's edge; gaps with no
+// separator between them share one window. Shared text outside the
+// windows tokenizes the same in both and is never read.
+TermDelta ContentDelta(const Segments& old_segs, const Segments& new_segs) {
+  std::vector<Gap> gaps = SegmentGaps(old_segs, new_segs);
+  TermDelta delta;
+  for (size_t g = 0; g < gaps.size();) {
+    std::string before;
+    AppendTrailingWord(new_segs, g == 0 ? 0 : gaps[g - 1].new_end,
+                       gaps[g].new_begin, &before);
+    std::string old_window = before;
+    std::string new_window = std::move(before);
+    bool separated = false;
+    while (!separated && g < gaps.size()) {
+      AppendTexts(old_segs, gaps[g].old_begin, gaps[g].old_end, &old_window);
+      AppendTexts(new_segs, gaps[g].new_begin, gaps[g].new_end, &new_window);
+      size_t run_end =
+          g + 1 < gaps.size() ? gaps[g + 1].new_begin : new_segs.size();
+      std::string after;
+      separated =
+          AppendLeadingWord(new_segs, gaps[g].new_end, run_end, &after);
+      old_window += after;
+      new_window += after;
+      ++g;
+    }
+    AddTokens(old_window, -1, &delta);
+    AddTokens(new_window, +1, &delta);
+  }
+  return delta;
+}
+
+// Moves `pos` back to the first byte of the UTF-8 code point it falls in.
+size_t CodePointStart(const std::string& text, size_t pos) {
+  while (pos > 0 && pos < text.size() &&
+         (static_cast<unsigned char>(text[pos]) & 0xC0) == 0x80) {
+    --pos;
+  }
+  return pos;
+}
+
+}  // namespace
+
+std::vector<std::string> Tokenize(const std::string& text) {
+  std::vector<std::string> out;
+  ForEachToken(text, [&](std::string token) {
+    out.push_back(std::move(token));
+  });
   return out;
 }
 
@@ -55,16 +230,12 @@ Status SearchEngine::Init() {
             case ChangeKind::kDocumentCreated:
             case ChangeKind::kDocumentRenamed:
             case ChangeKind::kUndoApplied:
-            case ChangeKind::kRedoApplied:
-              if (eager_.load(std::memory_order_relaxed)) {
-                // A failed eager reindex leaves the previous postings; the
-                // commit listener cannot fail the already-committed txn.
-                (void)IndexDocument(ev.doc);
-              } else {
-                MutexLock lock(mu_);
-                dirty_docs_.insert(ev.doc.value);
-              }
+            case ChangeKind::kRedoApplied: {
+              MutexLock lock(mu_);
+              Version& marked = dirty_docs_[ev.doc.value];
+              marked = std::max(marked, ev.version);
               break;
+            }
             default:
               break;
           }
@@ -74,47 +245,74 @@ Status SearchEngine::Init() {
 }
 
 Status SearchEngine::IndexDocument(DocumentId doc) {
-  // One MVCC snapshot gives version, text and name from the same committed
-  // state, so the three can never straddle a concurrent edit.
+  // One MVCC snapshot gives version, segments and name from the same
+  // committed state, so the three can never straddle a concurrent edit.
   auto snap = text_->AcquireSnapshot(doc);
   if (!snap.ok()) return snap.status();
-  const Version version = (*snap)->version();
-  const std::string content = (*snap)->Text();
-  const std::string& name = (*snap)->info().name;
-  {
-    MutexLock lock(mu_);
-    auto it = indexed_version_.find(doc.value);
-    if (it != indexed_version_.end() && it->second >= version) {
-      dirty_docs_.erase(doc.value);
-      return Status::OK();  // already fresh (events may arrive out of order)
-    }
-  }
-
-  std::vector<std::string> tokens = Tokenize(content + " " + name);
-
-  MutexLock lock(mu_);
-  // Drop old postings.
-  auto old = doc_postings_.find(doc.value);
-  if (old != doc_postings_.end()) {
-    for (const auto& [term, positions] : old->second.positions) {
-      auto td = term_docs_.find(term);
-      if (td != term_docs_.end()) {
-        td->second.erase(doc.value);
-        if (td->second.empty()) term_docs_.erase(td);
+  const CharListSnapshot& now = **snap;
+  const std::string& name = now.info().name;
+  for (;;) {
+    bool indexed = false;
+    Version base_version = 0;
+    Segments base;
+    std::string base_name;
+    {
+      MutexLock lock(mu_);
+      auto it = doc_postings_.find(doc.value);
+      if (it != doc_postings_.end()) {
+        indexed = true;
+        base_version = it->second.version;
+        if (base_version >= now.version()) break;  // already this fresh
+        base = it->second.segments;
+        base_name = it->second.name;
       }
     }
+
+    TermDelta delta = ContentDelta(base, now.segments());
+    if (base_name != name) {
+      AddTokens(base_name, -1, &delta);
+      AddTokens(name, +1, &delta);
+    }
+    // Declared before the lock so the replaced segments are released
+    // after it.
+    Segments pinned = now.segments();
+
+    MutexLock lock(mu_);
+    auto it = doc_postings_.find(doc.value);
+    if ((it != doc_postings_.end()) != indexed ||
+        (indexed && it->second.version != base_version)) {
+      continue;  // a concurrent refresh moved the base: diff again
+    }
+    DocPostings& p = doc_postings_[doc.value];
+    for (const auto& [term, change] : delta) {
+      if (change == 0) continue;
+      auto count = p.counts.find(term);
+      const int64_t before = count == p.counts.end() ? 0 : count->second;
+      const int64_t after = before + change;
+      TENDAX_CHECK(after >= 0);  // a delta never removes more than is there
+      p.term_count += change;
+      if (after <= 0) {
+        p.counts.erase(count);
+        auto td = term_docs_.find(term);
+        td->second.erase(doc.value);
+        if (td->second.empty()) term_docs_.erase(td);
+      } else if (before == 0) {
+        p.counts.emplace(term, static_cast<uint32_t>(after));
+        term_docs_[term].insert(doc.value);
+      } else {
+        count->second = static_cast<uint32_t>(after);
+      }
+    }
+    p.version = now.version();
+    p.segments.swap(pinned);
+    p.name = name;
+    break;
   }
-  DocPostings postings;
-  postings.term_count = tokens.size();
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    postings.positions[tokens[i]].push_back(i);
+  MutexLock lock(mu_);
+  auto dirty = dirty_docs_.find(doc.value);
+  if (dirty != dirty_docs_.end() && dirty->second <= now.version()) {
+    dirty_docs_.erase(dirty);
   }
-  for (const auto& [term, positions] : postings.positions) {
-    term_docs_[term].insert(doc.value);
-  }
-  doc_postings_[doc.value] = std::move(postings);
-  indexed_version_[doc.value] = version;
-  dirty_docs_.erase(doc.value);
   return Status::OK();
 }
 
@@ -122,7 +320,8 @@ Status SearchEngine::FlushDirty() {
   std::vector<uint64_t> dirty;
   {
     MutexLock lock(mu_);
-    dirty.assign(dirty_docs_.begin(), dirty_docs_.end());
+    dirty.reserve(dirty_docs_.size());
+    for (const auto& [doc, version] : dirty_docs_) dirty.push_back(doc);
   }
   for (uint64_t doc : dirty) {
     TENDAX_RETURN_IF_ERROR(IndexDocument(DocumentId(doc)));
@@ -137,9 +336,9 @@ double SearchEngine::TfIdf(const std::vector<std::string>& terms,
   double n_docs = static_cast<double>(doc_postings_.size());
   double score = 0;
   for (const std::string& term : terms) {
-    auto pos = dp->second.positions.find(term);
-    if (pos == dp->second.positions.end()) continue;
-    double tf = static_cast<double>(pos->second.size()) /
+    auto count = dp->second.counts.find(term);
+    if (count == dp->second.counts.end()) continue;
+    double tf = static_cast<double>(count->second) /
                 static_cast<double>(dp->second.term_count);
     auto td = term_docs_.find(term);
     double df = td == term_docs_.end()
@@ -232,20 +431,41 @@ Status SearchEngine::ApplyFilter(const SearchFilter& filter,
 }
 
 std::string SearchEngine::Snippet(DocumentId doc, const std::string& term) {
-  auto content = text_->Text(doc);
-  if (!content.ok()) return "";
-  std::string lowered = *content;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  size_t at = lowered.find(term);
-  if (at == std::string::npos) return content->substr(0, 40);
-  size_t start = at > 20 ? at - 20 : 0;
-  std::string snip = content->substr(start, 60);
+  constexpr size_t kBefore = 20;   // bytes of context before the match
+  constexpr size_t kLength = 60;   // bytes of snippet from there
+  constexpr size_t kNoMatch = 40;  // bytes shown when the term is absent
+  auto snap = text_->AcquireSnapshot(doc);
+  if (!snap.ok()) return "";
+  // Read segment texts until kLength bytes past the first match: the rest
+  // of the document cannot change the snippet.
+  std::string text;
+  size_t at = std::string::npos;
+  for (const auto& seg : (*snap)->segments()) {
+    // A match may straddle the boundary: resume just before the new text.
+    size_t from =
+        text.size() >= term.size() ? text.size() - term.size() + 1 : 0;
+    text += seg->text;
+    if (at == std::string::npos) {
+      auto hit = std::search(text.begin() + from, text.end(), term.begin(),
+                             term.end(), [](unsigned char c, char t) {
+                               return AsciiLower(c) == t;
+                             });
+      if (hit != text.end()) at = hit - text.begin();
+    }
+    if (at != std::string::npos && text.size() > at + kLength) break;
+  }
+  // Cuts snap back to code-point starts, so no snippet splits a character.
+  if (at == std::string::npos) {
+    return text.substr(0,
+                       CodePointStart(text, std::min(kNoMatch, text.size())));
+  }
+  size_t start = CodePointStart(text, at > kBefore ? at - kBefore : 0);
+  size_t end = CodePointStart(text, std::min(start + kLength, text.size()));
+  std::string snip = text.substr(start, end - start);
   for (char& c : snip) {
     if (c == '\n') c = ' ';
   }
-  return (start > 0 ? "..." : "") + snip +
-         (start + 60 < content->size() ? "..." : "");
+  return (start > 0 ? "..." : "") + snip + (end < text.size() ? "..." : "");
 }
 
 Result<std::vector<SearchResult>> SearchEngine::Search(

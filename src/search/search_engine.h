@@ -1,8 +1,8 @@
 #ifndef TENDAX_SEARCH_SEARCH_ENGINE_H_
 #define TENDAX_SEARCH_SEARCH_ENGINE_H_
 
-#include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -50,8 +50,10 @@ std::vector<std::string> Tokenize(const std::string& text);
 
 /// Content / structure / metadata search with pluggable ranking over an
 /// incrementally maintained in-memory inverted index (derived data, rebuilt
-/// at startup; kept fresh by re-indexing documents as their committed edits
-/// arrive on the event bus).
+/// at startup). A committed edit only marks its document dirty; the next
+/// query brings each dirty document up to its latest snapshot by diffing
+/// the snapshot's copy-on-write segments against the ones last indexed and
+/// re-tokenizing only the windows around the segments that changed.
 class SearchEngine {
  public:
   SearchEngine(Database* db, TextStore* text, MetaStore* meta,
@@ -59,13 +61,6 @@ class SearchEngine {
 
   /// Builds the index over existing documents and subscribes to commits.
   Status Init();
-
-  /// Index maintenance policy. Lazy (default): committed edits only mark
-  /// the document dirty (O(1) per keystroke) and re-indexing happens at
-  /// query time. Eager: every committed edit re-tokenizes the document —
-  /// fresher index, but adds O(doc) to each editing transaction's commit
-  /// path (the ablation measured in bench_search).
-  void SetEagerIndexing(bool eager) { eager_ = eager; }
 
   /// Multi-term AND query (terms are tokenized from `query`).
   Result<std::vector<SearchResult>> Search(
@@ -77,7 +72,8 @@ class SearchEngine {
       const std::string& phrase, Ranking ranking = Ranking::kRelevance,
       size_t limit = 10);
 
-  /// Re-indexes one document now (also used internally on change events).
+  /// Brings one document's index entry up to its latest snapshot now (also
+  /// what a query does for every dirty document).
   Status IndexDocument(DocumentId doc);
 
   size_t IndexedTerms() const;
@@ -85,12 +81,20 @@ class SearchEngine {
   size_t DirtyDocuments() const;
 
  private:
+  using Segments = std::vector<std::shared_ptr<const SnapSegment>>;
+
   struct DocPostings {
-    uint64_t term_count = 0;                      // total tokens
-    std::unordered_map<std::string, std::vector<size_t>> positions;
+    Version version = 0;  // snapshot version the entry reflects
+    // The snapshot segments last indexed. Holding them pins their
+    // addresses, so an unchanged pointer in a later snapshot is sound
+    // proof of unchanged text.
+    Segments segments;
+    std::string name;
+    uint64_t term_count = 0;  // total tokens, content and name
+    std::unordered_map<std::string, uint32_t> counts;  // term -> occurrences
   };
 
-  /// Re-indexes every document marked dirty since the last query.
+  /// Brings every document marked dirty since the last query up to date.
   Status FlushDirty();
 
   Result<double> RankScore(DocumentId doc, Ranking ranking,
@@ -107,18 +111,19 @@ class SearchEngine {
   DocumentModel* const docs_;
   LineageAnalyzer* const lineage_;
 
-  // Guards the inverted index; released around text_->Read during reindex,
-  // so it may sit alongside (never inside) the document handle lock.
+  // Guards the inverted index. Held only to mark a document dirty, to read
+  // an entry's base and to apply count deltas — never across a snapshot
+  // acquisition, a segment diff or tokenization — so a commit listener
+  // marking a document dirty never waits behind a re-index. It may sit
+  // alongside (never inside) the document handle lock.
   mutable Mutex mu_{"search.mu", lockorder::kRankDocument};
   // term -> set of docs; doc -> postings.
   std::unordered_map<std::string, std::set<uint64_t>> term_docs_
       TENDAX_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, DocPostings> doc_postings_
       TENDAX_GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, Version> indexed_version_
-      TENDAX_GUARDED_BY(mu_);
-  std::set<uint64_t> dirty_docs_ TENDAX_GUARDED_BY(mu_);
-  std::atomic<bool> eager_{false};
+  // doc -> highest committed version marked since it was last indexed.
+  std::unordered_map<uint64_t, Version> dirty_docs_ TENDAX_GUARDED_BY(mu_);
 };
 
 }  // namespace tendax

@@ -25,21 +25,12 @@ CharListSnapshot::~CharListSnapshot() {
   if (tracker_) tracker_->OnReclaim(seq_);
 }
 
-size_t CharListSnapshot::chain_size() const {
-  size_t n = 0;
-  for (const auto& seg : segments_) n += seg->chars.size();
-  return n;
-}
-
 std::string CharListSnapshot::Text() const {
+  size_t bytes = 0;
+  for (const auto& seg : segments_) bytes += seg->text.size();
   std::string out;
-  out.reserve(info_.length);
-  for (const auto& seg : segments_) {
-    if (seg->live == 0) continue;
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted == 0) AppendUtf8(&out, c.cp);
-    }
-  }
+  out.reserve(bytes);
+  for (const auto& seg : segments_) out += seg->text;
   return out;
 }
 
@@ -195,12 +186,6 @@ uint64_t SnapshotTracker::live() const {
 // ---------------------------------------------------------------------------
 // VersionedCharList
 
-size_t VersionedCharList::chain_size() const {
-  size_t n = 0;
-  for (const auto& seg : segs_) n += seg->chars.size();
-  return n;
-}
-
 const SnapChar& VersionedCharList::LiveAt(size_t pos) const {
   assert(pos < live_);
   size_t skip = pos;
@@ -245,7 +230,11 @@ void VersionedCharList::Rebuild(std::vector<SnapChar> chain) {
 
 SnapSegment* VersionedCharList::Own(size_t idx) {
   if (frozen_[idx]) {
-    segs_[idx] = std::make_shared<SnapSegment>(*segs_[idx]);
+    // The clone's text is left empty: Freeze recomputes it.
+    auto clone = std::make_shared<SnapSegment>();
+    clone->chars = segs_[idx]->chars;
+    clone->live = segs_[idx]->live;
+    segs_[idx] = std::move(clone);
     frozen_[idx] = 0;
   }
   return segs_[idx].get();
@@ -417,45 +406,17 @@ uint64_t VersionedCharList::PurgeBelow(Version before) {
   return purged;
 }
 
-std::string VersionedCharList::Text() const {
-  std::string out;
-  out.reserve(live_);
-  for (const auto& seg : segs_) {
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted == 0) AppendUtf8(&out, c.cp);
-    }
-  }
-  return out;
-}
-
-std::string VersionedCharList::TextRange(size_t pos, size_t len) const {
-  assert(pos + len <= live_);
-  std::string out;
-  out.reserve(len);
-  size_t skip = pos;
-  size_t remaining = len;
-  for (const auto& seg : segs_) {
-    if (remaining == 0) break;
-    if (skip >= seg->live) {
-      skip -= seg->live;
-      continue;
-    }
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (remaining == 0) break;
-      AppendUtf8(&out, c.cp);
-      --remaining;
-    }
-  }
-  return out;
-}
-
 std::vector<std::shared_ptr<const SnapSegment>> VersionedCharList::Freeze() {
-  std::fill(frozen_.begin(), frozen_.end(), uint8_t{1});
+  for (size_t s = 0; s < segs_.size(); ++s) {
+    if (frozen_[s]) continue;
+    SnapSegment* seg = segs_[s].get();
+    seg->text.clear();
+    seg->text.reserve(seg->live);
+    for (const SnapChar& c : seg->chars) {
+      if (c.deleted == 0) AppendUtf8(&seg->text, c.cp);
+    }
+    frozen_[s] = 1;
+  }
   return std::vector<std::shared_ptr<const SnapSegment>>(segs_.begin(),
                                                          segs_.end());
 }

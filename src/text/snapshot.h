@@ -46,10 +46,14 @@ struct SnapChar {
 
 /// A slice of the character chain in physical order, tombstones included.
 /// Copy-on-write unit: once a segment has been frozen into a snapshot it is
-/// never mutated again — writers clone the touched segment instead.
+/// never mutated again — writers clone the touched segment instead. So an
+/// unchanged segment pointer between two snapshots marks unchanged text.
 struct SnapSegment {
   std::vector<SnapChar> chars;
   size_t live = 0;  // chars with deleted == 0
+  /// UTF-8 of the live chars. Filled when the segment is frozen: only a
+  /// segment reached through a snapshot carries it.
+  std::string text;
 };
 
 class SnapshotTracker;
@@ -81,8 +85,11 @@ class CharListSnapshot {
   /// floor returns kFailedPrecondition instead of silently wrong text.
   Version purge_floor() const { return purge_floor_; }
   uint64_t length() const { return info_.length; }
-  /// Chain records including tombstones.
-  size_t chain_size() const;
+  /// The frozen segments in physical order; their `text`s concatenate to
+  /// `Text()`.
+  const std::vector<std::shared_ptr<const SnapSegment>>& segments() const {
+    return segments_;
+  }
 
   std::string Text() const;
   Result<std::string> TextRange(size_t pos, size_t len) const;
@@ -149,7 +156,6 @@ class SnapshotTracker {
 class VersionedCharList {
  public:
   size_t live_size() const { return live_; }
-  size_t chain_size() const;
   bool empty() const { return live_ == 0; }
 
   /// The live character at `pos`; precondition pos < live_size().
@@ -173,12 +179,10 @@ class VersionedCharList {
   /// Physically drops tombstones with deleted <= before; returns the count.
   uint64_t PurgeBelow(Version before);
 
-  std::string Text() const;
-  /// Caller checks bounds; precondition pos + len <= live_size().
-  std::string TextRange(size_t pos, size_t len) const;
-
   /// Marks every segment frozen and returns them for snapshot publication;
-  /// later mutations copy-on-write the touched segment.
+  /// later mutations copy-on-write the touched segment. Fills the `text` of
+  /// the segments not frozen yet — the ones edited since the last freeze —
+  /// so a publishing commit pays for the segments it touched.
   std::vector<std::shared_ptr<const SnapSegment>> Freeze();
 
  private:

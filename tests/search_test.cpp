@@ -2,12 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "server_fixture.h"
+#include "text/utf8.h"
+#include "util/random.h"
 
 namespace tendax {
 namespace {
 
-class SearchTest : public ServerTest {};
+class SearchTest : public ServerTest {
+ protected:
+  /// Checks the server's incrementally maintained index against a full
+  /// re-index of the same documents: same results in the same order, the
+  /// same exact scores, names and snippets, and the same term count. The
+  /// reference is built without Init, so it registers no commit listener.
+  void ExpectEqualsFullReindex(const std::vector<std::string>& queries) {
+    SearchEngine full(server_->db(), server_->text(), server_->meta(),
+                      server_->documents(), server_->lineage());
+    for (DocumentId doc : server_->text()->ListDocuments()) {
+      ASSERT_TRUE(full.IndexDocument(doc).ok());
+    }
+    for (const std::string& query : queries) {
+      auto got = server_->search()->Search(query, Ranking::kRelevance, {},
+                                           SIZE_MAX);
+      auto want = full.Search(query, Ranking::kRelevance, {}, SIZE_MAX);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_EQ(got->size(), want->size()) << "query '" << query << "'";
+      for (size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ((*got)[i].doc, (*want)[i].doc) << "query '" << query << "'";
+        EXPECT_EQ((*got)[i].score, (*want)[i].score) << "query '" << query
+                                                     << "'";
+        EXPECT_EQ((*got)[i].name, (*want)[i].name);
+        EXPECT_EQ((*got)[i].snippet, (*want)[i].snippet);
+      }
+    }
+    EXPECT_EQ(server_->search()->IndexedTerms(), full.IndexedTerms());
+    EXPECT_EQ(server_->search()->IndexedDocuments(), full.IndexedDocuments());
+    EXPECT_EQ(server_->search()->DirtyDocuments(), 0u);
+  }
+
+  /// Up to `n` distinct tokens of `doc`'s current text and name.
+  std::vector<std::string> SampleTokens(DocumentId doc, size_t n,
+                                        Random* rng) {
+    auto snap = server_->text()->AcquireSnapshot(doc);
+    EXPECT_TRUE(snap.ok());
+    std::vector<std::string> tokens =
+        Tokenize((*snap)->Text() + " " + (*snap)->info().name);
+    std::vector<std::string> out;
+    for (size_t i = 0; i < n && !tokens.empty(); ++i) {
+      out.push_back(tokens[rng->Uniform(tokens.size())]);
+    }
+    return out;
+  }
+};
+
+bool IsValidUtf8(const std::string& text) {
+  return EncodeUtf8(DecodeUtf8(text)) == text;
+}
 
 TEST(TokenizeTest, SplitsAndLowercases) {
   auto tokens = Tokenize("Hello, World! 2nd-test\nDONE");
@@ -160,6 +214,202 @@ TEST_F(SearchTest, LimitAndEmptyQuery) {
   EXPECT_EQ(results->size(), 3u);
   EXPECT_TRUE(
       server_->search()->Search("   ").status().IsInvalidArgument());
+}
+
+TEST_F(SearchTest, SnippetsNeverSplitACodePoint) {
+  // Byte offsets 20 before the match and 60 after its start both land
+  // inside a two-byte "\xC3\xA9", so byte-offset cuts would split it.
+  std::string e_acute = "\xC3\xA9";
+  std::string run;
+  for (int i = 0; i < 20; ++i) run += e_acute;
+  MakeDoc(alice_, "accents", "x" + run + " database " + run);
+  auto results = server_->search()->Search("database");
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 1u);
+  const std::string& snippet = (*results)[0].snippet;
+  EXPECT_TRUE(IsValidUtf8(snippet)) << snippet;
+  EXPECT_NE(snippet.find("database"), std::string::npos);
+  EXPECT_EQ(snippet.substr(0, 3), "...");
+  EXPECT_EQ(snippet.substr(snippet.size() - 3), "...");
+
+  // No match in the text (the term is only in the name): the head of the
+  // text, also cut on a code-point boundary.
+  MakeDoc(alice_, "budget", run + run + run);
+  results = server_->search()->Search("budget");
+  ASSERT_EQ(results->size(), 1u);
+  EXPECT_TRUE(IsValidUtf8((*results)[0].snippet));
+  EXPECT_FALSE((*results)[0].snippet.empty());
+}
+
+// Tombstone-only segments between two edits carry no text, so the word
+// that now runs across them must be re-tokenized as one window.
+TEST_F(SearchTest, WordAcrossTombstoneSegmentsIsReindexed) {
+  std::string body;
+  while (body.size() < 1000) body += "lorem ipsum dolor ";
+  body.replace(189, 11, " leftsidexx");
+  body.replace(520, 10, "rightsideq");
+  body.replace(530, 1, " ");
+  DocumentId doc = MakeDoc(alice_, "filler", body);
+  ASSERT_TRUE(server_->search()->Search("lorem").ok());
+  // Tombstone whole segments in the middle, then edit on both sides.
+  ASSERT_TRUE(server_->text()->DeleteRange(alice_, doc, 200, 320).ok());
+  ASSERT_TRUE(server_->search()->Search("lorem").ok());
+  ASSERT_TRUE(server_->text()->InsertText(alice_, doc, 199, "J").ok());
+  ASSERT_TRUE(server_->text()->DeleteRange(alice_, doc, 205, 1).ok());
+  ASSERT_EQ(server_->text()->Text(doc)->substr(190, 21),
+            "leftsidexJxrighsideq ");
+  auto hit = server_->search()->Search("leftsidexjxrighsideq");
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->size(), 1u);
+  EXPECT_TRUE(server_->search()->Search("rightsideq")->empty());
+  ExpectEqualsFullReindex({"leftsidexjxrighsideq", "leftsidexx", "lorem",
+                           "dolor", "rightsideq"});
+}
+
+// Seeded property: after random typing, deletes, pastes, undo/redo,
+// history purges and renames across several documents, the incremental
+// index equals a full re-index at every query.
+TEST_F(SearchTest, IncrementalIndexEqualsFullReindex) {
+  const std::vector<std::string> words = {
+      "alpha", "beta", "gamma", "Delta", "zeta", "x1", "R2d2", "database",
+      "caf\xC3\xA9", "na\xC3\xAFve", "\xE2\x82\xACuro",
+      "smile\xF0\x9F\x98\x80"};
+  const std::vector<std::string> separators = {" ", " ", ", ", "\n", "",
+                                               "\xC3\xA9", "\xE2\x80\x94"};
+  Random rng(20261017);
+  auto random_text = [&](size_t n_words) {
+    std::string out;
+    for (size_t i = 0; i < n_words; ++i) {
+      out += words[rng.Uniform(words.size())];
+      out += separators[rng.Uniform(separators.size())];
+    }
+    return out;
+  };
+  const UserId users[] = {alice_, bob_};
+  std::vector<DocumentId> docs;
+  for (int d = 0; d < 4; ++d) {
+    docs.push_back(MakeDoc(alice_, "doc-" + words[d], random_text(40)));
+  }
+  UndoManager* undo = server_->undo();
+  TextStore* text = server_->text();
+  for (int op = 0; op < 400; ++op) {
+    DocumentId doc = docs[rng.Uniform(docs.size())];
+    UserId user = users[rng.Uniform(2)];
+    const uint64_t len = text->Length(doc).value_or(0);
+    const uint64_t kind = rng.Uniform(20);
+    if (kind < 8 || len == 0) {
+      // Keystrokes and short phrases; now and then a paste large enough
+      // to split segments.
+      std::string piece;
+      if (rng.OneIn(8)) {
+        piece = random_text(60 + rng.Uniform(80));
+      } else if (rng.OneIn(2)) {
+        piece = std::string(1, "ab c,"[rng.Uniform(5)]);
+      } else {
+        piece = random_text(1 + rng.Uniform(3));
+      }
+      auto r = text->InsertText(user, doc, rng.Uniform(len + 1), piece);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      undo->RecordInsert(user, doc, *r, piece);
+    } else if (kind < 12) {
+      uint64_t n = 1 + rng.Skewed(9) % std::min<uint64_t>(len, 400);
+      uint64_t pos = rng.Uniform(len - n + 1);
+      std::string gone_text = *text->TextRange(doc, pos, n);
+      auto r = text->DeleteRange(user, doc, pos, n);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      undo->RecordDelete(user, doc, *r, gone_text);
+    } else if (kind < 13) {
+      DocumentId from = docs[rng.Uniform(docs.size())];
+      uint64_t from_len = text->Length(from).value_or(0);
+      if (from_len == 0) continue;
+      uint64_t n = 1 + rng.Uniform(std::min<uint64_t>(from_len, 300));
+      auto clip = text->Copy(user, from, rng.Uniform(from_len - n + 1), n);
+      ASSERT_TRUE(clip.ok());
+      ASSERT_TRUE(text->Paste(user, doc, rng.Uniform(len + 1), *clip).ok());
+    } else if (kind < 15) {
+      (void)(rng.OneIn(2) ? undo->UndoLocal(user, doc)
+                          : undo->UndoGlobal(user, doc));
+    } else if (kind < 16) {
+      (void)(rng.OneIn(2) ? undo->RedoLocal(user, doc)
+                          : undo->RedoGlobal(user, doc));
+    } else if (kind < 17) {
+      ASSERT_TRUE(
+          text->PurgeHistory(user, doc, *text->CurrentVersion(doc)).ok());
+    } else if (kind < 18) {
+      ASSERT_TRUE(text->RenameDocument(
+                          user, doc,
+                          words[rng.Uniform(words.size())] + "-" +
+                              words[rng.Uniform(words.size())])
+                      .ok());
+    }
+    if (rng.OneIn(6)) {
+      std::vector<std::string> queries = SampleTokens(doc, 3, &rng);
+      queries.push_back(Tokenize(words[rng.Uniform(words.size())]).front());
+      ExpectEqualsFullReindex(queries);
+      if (HasFatalFailure() || HasNonfatalFailure()) {
+        FAIL() << "diverged after op " << op;
+      }
+    }
+  }
+  std::vector<std::string> all;
+  for (DocumentId doc : docs) {
+    for (const std::string& t : SampleTokens(doc, 50, &rng)) all.push_back(t);
+  }
+  ExpectEqualsFullReindex(all);
+}
+
+// Three typists and one searcher share two documents. Refreshes pin the
+// segments they diff while writers clone them; once everyone stops, the
+// index must equal a full re-index.
+TEST_F(SearchTest, ConcurrentTypistsAndSearcherConvergeToFullReindex) {
+  std::vector<DocumentId> docs = {
+      MakeDoc(alice_, "shared-one", "start of the first shared text "),
+      MakeDoc(alice_, "shared-two", "start of the second shared text ")};
+  constexpr int kTypists = 3;
+  constexpr int kKeystrokes = 150;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> typists;
+  for (int t = 0; t < kTypists; ++t) {
+    typists.emplace_back([&, t] {
+      Random rng(100 + t);
+      const std::string keys = "abcdefgh ,\n";
+      for (int k = 0; k < kKeystrokes; ++k) {
+        DocumentId doc = docs[rng.Uniform(docs.size())];
+        uint64_t len = server_->text()->Length(doc).value_or(0);
+        Status st =
+            rng.OneIn(5) && len > 0
+                ? server_->text()
+                      ->DeleteRange(alice_, doc, rng.Uniform(len), 1)
+                      .status()
+                : server_->text()
+                      ->InsertText(alice_, doc, rng.Uniform(len + 1),
+                                   std::string(1, keys[rng.Uniform(
+                                                      keys.size())]))
+                      .status();
+        // Another typist may have shortened the text since `len` was read.
+        if (!st.ok() && !st.IsOutOfRange()) ++failures;
+      }
+    });
+  }
+  std::thread searcher([&] {
+    const char* terms[] = {"start", "shared", "text", "ab", "first"};
+    for (int i = 0; !done.load(); ++i) {
+      if (!server_->search()->Search(terms[i % 5]).ok()) ++failures;
+    }
+  });
+  for (std::thread& t : typists) t.join();
+  done = true;
+  searcher.join();
+  EXPECT_EQ(failures.load(), 0);
+  Random rng(7);
+  std::vector<std::string> queries = {"start", "shared", "text"};
+  for (DocumentId doc : docs) {
+    for (const std::string& t : SampleTokens(doc, 20, &rng)) {
+      queries.push_back(t);
+    }
+  }
+  ExpectEqualsFullReindex(queries);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 
 #include <thread>
 
-#include "text/char_list.h"
 #include "text/text_store.h"
 #include "text/utf8.h"
+#include "util/random.h"
 
 namespace tendax {
 namespace {
@@ -37,71 +37,6 @@ TEST(Utf8Test, InvalidBytesBecomeReplacement) {
   // Overlong encoding rejected.
   auto cps3 = DecodeUtf8("\xC0\x80");
   EXPECT_EQ(cps3[0], 0xFFFDu);
-}
-
-// ---------- CharList ----------
-
-TEST(CharListTest, InsertEraseAndText) {
-  CharList list;
-  EXPECT_TRUE(list.empty());
-  list.Insert(0, {1, 'b'});
-  list.Insert(0, {2, 'a'});
-  list.Insert(2, {3, 'c'});
-  EXPECT_EQ(list.Text(), "abc");
-  EXPECT_EQ(list.At(1).id, 1u);
-  list.Erase(1);
-  EXPECT_EQ(list.Text(), "ac");
-  EXPECT_EQ(list.size(), 2u);
-}
-
-TEST(CharListTest, FindById) {
-  CharList list;
-  for (uint32_t i = 0; i < 100; ++i) {
-    list.Insert(i, {i + 1, 'a' + (i % 26)});
-  }
-  EXPECT_EQ(*list.FindById(1), 0u);
-  EXPECT_EQ(*list.FindById(50), 49u);
-  EXPECT_EQ(*list.FindById(100), 99u);
-  EXPECT_FALSE(list.FindById(999).has_value());
-}
-
-TEST(CharListTest, BlockSplitsPreserveOrder) {
-  CharList list;
-  const size_t n = CharList::kBlockSize * 5 + 37;
-  for (size_t i = 0; i < n; ++i) {
-    list.Insert(list.size(), {i + 1, static_cast<uint32_t>('a' + (i % 26))});
-  }
-  EXPECT_EQ(list.size(), n);
-  for (size_t i = 0; i < n; i += 977) {
-    EXPECT_EQ(list.At(i).id, i + 1);
-  }
-  // Middle insert after splits.
-  list.Insert(n / 2, {999999, 'X'});
-  EXPECT_EQ(list.At(n / 2).id, 999999u);
-  EXPECT_EQ(list.size(), n + 1);
-}
-
-TEST(CharListTest, EraseRangeAcrossBlocks) {
-  CharList list;
-  const size_t n = CharList::kBlockSize * 3;
-  for (size_t i = 0; i < n; ++i) {
-    list.Insert(list.size(), {i + 1, 'x'});
-  }
-  list.EraseRange(100, CharList::kBlockSize * 2);
-  EXPECT_EQ(list.size(), n - CharList::kBlockSize * 2);
-  EXPECT_EQ(list.At(99).id, 100u);
-  EXPECT_EQ(list.At(100).id, 100u + CharList::kBlockSize * 2 + 1);
-}
-
-TEST(CharListTest, TextRangeWindows) {
-  CharList list;
-  std::string alphabet = "abcdefghijklmnopqrstuvwxyz";
-  for (size_t i = 0; i < alphabet.size(); ++i) {
-    list.Insert(i, {i + 1, static_cast<uint32_t>(alphabet[i])});
-  }
-  EXPECT_EQ(list.TextRange(0, 3), "abc");
-  EXPECT_EQ(list.TextRange(23, 3), "xyz");
-  EXPECT_EQ(list.TextRange(5, 0), "");
 }
 
 // ---------- TextStore ----------
@@ -405,6 +340,65 @@ TEST_F(TextStoreTest, AbortedEditRestoresMovedRecordLocations) {
   store_->InvalidateHandle(doc_);
   EXPECT_EQ(store_->Text(doc_).value_or(""), std::string(2800, 'm'));
   EXPECT_TRUE(db_->CheckIntegrity().ok());
+}
+
+// A segment's text is filled when it is frozen, and only for the segments
+// an edit touched since the last freeze. Every published snapshot must
+// still read exactly the text its own chars spell — across clones, splits,
+// tombstones, resurrection, purge and a reload from the records.
+TEST_F(TextStoreTest, SnapshotTextMatchesItsCharsAtEveryVersion) {
+  const std::vector<std::string> pieces = {
+      "a", "word ", "\xC3\xA9", "\xE2\x82\xAC", "\xF0\x9F\x98\x80", "\n", "z"};
+  Random rng(11);
+  auto random_text = [&](size_t n) {
+    std::string out;
+    for (size_t i = 0; i < n; ++i) out += pieces[rng.Uniform(pieces.size())];
+    return out;
+  };
+  std::vector<SnapshotRef> published;
+  std::vector<std::vector<CharId>> deletions;  // candidates for resurrection
+  for (int op = 0; op < 240; ++op) {
+    const uint64_t len = store_->Length(doc_).value_or(0);
+    const uint64_t kind = rng.Uniform(10);
+    if (kind < 4 || len == 0) {
+      // Mostly keystrokes; now and then a paste large enough to split.
+      size_t n = rng.OneIn(6) ? 150 + rng.Uniform(400) : 1 + rng.Uniform(4);
+      ASSERT_TRUE(store_->InsertText(alice_, doc_, rng.Uniform(len + 1),
+                                     random_text(n))
+                      .ok());
+    } else if (kind < 7) {
+      uint64_t n = 1 + rng.Uniform(std::min<uint64_t>(len, 300));
+      auto gone =
+          store_->DeleteRange(alice_, doc_, rng.Uniform(len - n + 1), n);
+      ASSERT_TRUE(gone.ok()) << gone.status().ToString();
+      deletions.push_back(gone->chars);
+    } else if (kind == 7 && !deletions.empty()) {
+      size_t pick = rng.Uniform(deletions.size());
+      auto back = store_->ResurrectChars(bob_, doc_, deletions[pick]);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      deletions.erase(deletions.begin() + pick);
+    } else if (kind == 8) {
+      auto version = store_->CurrentVersion(doc_);
+      ASSERT_TRUE(version.ok());
+      ASSERT_TRUE(store_->PurgeHistory(alice_, doc_, *version).ok());
+      deletions.clear();  // purged tombstones cannot come back
+    } else {
+      store_->InvalidateHandle(doc_);  // the next read rebuilds the chain
+    }
+    auto snap = store_->AcquireSnapshot(doc_);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    published.push_back(*snap);
+  }
+
+  for (const SnapshotRef& snap : published) {
+    auto chars = snap->LiveRange(0, snap->length());
+    ASSERT_TRUE(chars.ok());
+    std::vector<uint32_t> cps;
+    for (const SnapChar& c : *chars) cps.push_back(c.cp);
+    EXPECT_TRUE(snap->Text() == EncodeUtf8(cps))
+        << "segment texts differ from the chars at version "
+        << snap->version();
+  }
 }
 
 TEST_F(TextStoreTest, CharIdFromAnotherDocumentIsRefused) {
