@@ -7,6 +7,11 @@
 // histogram record, a ScopedTimer span (two clock reads), and the cold
 // aggregation paths (snapshot, encode, text exposition).
 //
+// BM_FrameSealOpen prices the wire checksum every request and response
+// pays: one seal on the sending side and one in-place open on the
+// receiving side, at a 3 KB body (a small document) and a 40 KB one (a
+// document read on the big-corpus workload).
+//
 // Regenerate the committed results with
 //   ./build/bench/bench_observability --benchmark_out=BENCH_observability.json
 //       --benchmark_out_format=json
@@ -15,7 +20,9 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "collab/wire.h"
 #include "core/tendax.h"
 #include "obs/metrics.h"
 
@@ -149,6 +156,20 @@ void BM_TextExposition(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TextExposition);
+
+void BM_FrameSealOpen(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  std::string body(size, 'x');
+  body.reserve(size + kFrameTrailerSize);
+  for (auto _ : state) {
+    std::string frame = SealFrame(std::move(body));
+    if (!OpenFrame(&frame).ok()) state.SkipWithError("open failed");
+    benchmark::DoNotOptimize(frame.data());
+    body = std::move(frame);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_FrameSealOpen)->Arg(3 << 10)->Arg(40 << 10);
 
 }  // namespace
 }  // namespace tendax

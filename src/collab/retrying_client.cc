@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "util/clock.h"
 
@@ -68,10 +69,7 @@ Result<WireResponse> RetryingClient::Call(EditCommand command) {
     }
   }
 
-  const bool exempt = command.kind == CommandKind::kResume ||
-                      command.kind == CommandKind::kHeartbeat ||
-                      command.kind == CommandKind::kStats;
-  if (command.request_id == 0 && !exempt) {
+  if (command.request_id == 0 && !IsDedupExempt(command.kind)) {
     command.request_id = key_salt_ ^ ++next_key_;
     if (command.request_id == 0) command.request_id = ++next_key_;
   }
@@ -117,14 +115,13 @@ Result<WireResponse> RetryingClient::Call(EditCommand command) {
       MetricAdd(m_timeouts_);
       continue;
     }
-    auto body = OpenFrame(*raw);
-    if (!body.ok()) {
-      last_error = body.status();
+    if (Status opened = OpenFrame(&*raw); !opened.ok()) {
+      last_error = opened;
       ++stats_.wire_errors;
       MetricAdd(m_wire_errors_);
       continue;
     }
-    auto response = DecodeResponse(*body);
+    auto response = DecodeResponse(*raw);
     if (!response.ok()) {
       last_error = response.status();
       ++stats_.wire_errors;
@@ -147,9 +144,9 @@ Result<WireResponse> RetryingClient::Call(EditCommand command) {
         breaker_opened_at_ = clock()->NowMicros();
         ++stats_.breaker_opens;
         MetricAdd(m_breaker_opens_);
-        return *response;
+        return std::move(*response);
       }
-      if (attempt + 1 >= options_.max_attempts) return *response;
+      if (attempt + 1 >= options_.max_attempts) return std::move(*response);
       server_hint = response->retry_after_micros;
       continue;
     }
@@ -157,7 +154,7 @@ Result<WireResponse> RetryingClient::Call(EditCommand command) {
     // server is responsive again: reset/close the breaker.
     consecutive_unavailable_ = 0;
     breaker_open_ = false;
-    return *response;
+    return std::move(*response);
   }
   ++stats_.exhausted;
   MetricAdd(m_exhausted_);
@@ -207,7 +204,7 @@ Result<std::string> RetryingClient::GetText(DocumentId doc) {
   auto r = Call(MakeCommand(CommandKind::kGetText, doc));
   if (!r.ok()) return r.status();
   if (r->code != StatusCode::kOk) return ToStatus(*r);
-  return r->payload;
+  return std::move(r->payload);
 }
 
 Result<std::string> RetryingClient::GetTextAt(DocumentId doc,
@@ -215,7 +212,7 @@ Result<std::string> RetryingClient::GetTextAt(DocumentId doc,
   auto r = Call(MakeCommand(CommandKind::kGetTextAt, doc, version));
   if (!r.ok()) return r.status();
   if (r->code != StatusCode::kOk) return ToStatus(*r);
-  return r->payload;
+  return std::move(r->payload);
 }
 
 Status RetryingClient::SetCursor(DocumentId doc, uint64_t pos) {

@@ -48,6 +48,13 @@ constexpr uint8_t kCommandKindMax = 18;
 /// outside the enum. Used for per-command metric names.
 const char* CommandKindName(CommandKind kind);
 
+/// True for the commands the endpoint never deduplicates: the reads
+/// (kGetText, kGetTextAt) and the session upkeep (kResume, kHeartbeat,
+/// kStats). Each is idempotent and must answer with current state, and a
+/// cached read would hold a full copy of a document per request. Clients
+/// send these without an idempotency key.
+bool IsDedupExempt(CommandKind kind);
+
 /// One editor gesture on the wire.
 struct EditCommand {
   CommandKind kind = CommandKind::kGetText;
@@ -106,14 +113,25 @@ Result<std::vector<SeqEvent>> DecodeSeqEventBatch(Slice bytes);
 
 // --- frame integrity ---
 //
-// Frames crossing a real network carry a checksum envelope so in-flight
-// corruption is detected at the receiving side and handled as frame loss
-// (drop + retry) rather than leaking into command parsing.
+// Frames crossing a real network carry a checksum so in-flight corruption
+// is detected at the receiving side and handled as frame loss (drop +
+// retry) rather than leaking into command parsing. A frame is the body
+// followed by an 8-byte trailer: a word-at-a-time 64-bit checksum seeded
+// with the body length. It is a wire format only, never stored, so it is
+// free to differ from the persisted formats' `Fnv1a32`.
 
-/// Prepends a checksum header to `body`.
-std::string SealFrame(const std::string& body);
-/// Verifies and strips the checksum header; kCorruption on damage.
-Result<std::string> OpenFrame(Slice frame);
+/// Size of the checksum trailer `SealFrame` appends.
+constexpr size_t kFrameTrailerSize = 8;
+
+/// Appends the checksum trailer to `body` and returns it. Encoders reserve
+/// `kFrameTrailerSize` spare bytes, so a moved-in body is sealed without a
+/// copy.
+std::string SealFrame(std::string body);
+/// Verifies `frame` and returns a view of its body (into `frame`'s
+/// storage); kCorruption on damage or a frame shorter than the trailer.
+Result<Slice> OpenFrame(Slice frame);
+/// Verifies `*frame` and shrinks it to its body in place.
+Status OpenFrame(std::string* frame);
 
 // --- transport ---
 
@@ -149,6 +167,7 @@ class DirectTransport : public WireTransport {
 /// carrying an idempotency key are cached (bounded, FIFO eviction), and a
 /// duplicate delivery of the same key returns the cached response without
 /// re-executing — at-most-once execution under at-least-once delivery.
+/// `IsDedupExempt` commands are never cached; they run again.
 class RemoteEditorEndpoint {
  public:
   explicit RemoteEditorEndpoint(Editor* editor, size_t dedup_capacity = 1024);

@@ -4,22 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/checksum.h"
 #include "util/coding.h"
 
 namespace tendax {
 
 namespace {
-
-/// FNV-1a over `data`; matches the page-checksum recipe used elsewhere in
-/// the tree but kept local so obs/ depends only on util/.
-uint32_t MetricsChecksum(const Slice& data) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < data.size(); ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -137,7 +127,7 @@ std::string EncodeMetricsSnapshot(const MetricsSnapshot& snapshot) {
     PutVarint32(&out, kHistogramBuckets);
     for (int b = 0; b < kHistogramBuckets; ++b) PutVarint64(&out, h.buckets[b]);
   }
-  PutFixed32(&out, MetricsChecksum(Slice(out)));
+  PutFixed32(&out, Fnv1a32(out.data(), out.size()));
   return out;
 }
 
@@ -147,7 +137,7 @@ Result<MetricsSnapshot> DecodeMetricsSnapshot(const Slice& encoded) {
   }
   Slice payload(encoded.data(), encoded.size() - 4);
   uint32_t expected = DecodeFixed32(encoded.data() + payload.size());
-  if (MetricsChecksum(payload) != expected) {
+  if (Fnv1a32(payload.data(), payload.size()) != expected) {
     return Status::Corruption("metrics snapshot checksum mismatch");
   }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "util/checksum.h"
 #include "util/coding.h"
 #include "util/mutex.h"
 
@@ -17,14 +18,11 @@ constexpr PageId kInvalidPageId = UINT32_MAX;
 constexpr size_t kPageSize = 4096;
 
 /// Byte offset where page-owner data begins. The header holds the page LSN
-/// (8 bytes, recovery) and a payload checksum (4 bytes, written at flush
-/// time and verified when the page is read back — integrity enforcement);
-/// 4 bytes are reserved.
+/// (8 bytes, recovery) and a payload checksum (4 bytes of `Fnv1a32`, written
+/// at flush time and verified when the page is read back — integrity
+/// enforcement); 4 bytes are reserved.
 constexpr size_t kPageHeaderSize = 16;
 constexpr size_t kPageChecksumOffset = 8;
-
-/// FNV-1a over a byte range (page checksums, WAL framing).
-uint32_t PageChecksum(const char* data, size_t n);
 
 /// A buffer-pool frame: one page worth of bytes plus bookkeeping. Pages are
 /// pinned while in use; the buffer pool may evict only unpinned frames.
@@ -60,12 +58,12 @@ class Page {
   }
   void StampChecksum() {
     EncodeFixed32(data_ + kPageChecksumOffset,
-                  PageChecksum(payload(), payload_size()));
+                  Fnv1a32(payload(), payload_size()));
   }
   /// True if the payload matches the stored checksum (or none is stored).
   bool ChecksumValid() const {
     uint32_t stored = stored_checksum();
-    return stored == 0 || stored == PageChecksum(payload(), payload_size());
+    return stored == 0 || stored == Fnv1a32(payload(), payload_size());
   }
 
   int pin_count() const { return pin_count_; }

@@ -1,19 +1,11 @@
 #include "storage/wal.h"
 
+#include "util/checksum.h"
 #include "util/coding.h"
 
 namespace tendax {
 
 namespace {
-
-uint32_t Fnv1a(const char* data, size_t n) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 bool IsLogType(uint8_t b) {
   switch (static_cast<LogType>(b)) {
@@ -198,7 +190,7 @@ Lsn Wal::Append(LogRecord* rec) {
   std::string payload;
   rec->EncodeTo(&payload);
   PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&pending_, Fnv1a(payload.data(), payload.size()));
+  PutFixed32(&pending_, Fnv1a32(payload.data(), payload.size()));
   pending_.append(payload);
   MetricAdd(m_appends_);
   return rec->lsn;
@@ -373,7 +365,7 @@ Lsn Wal::DecodeLogBuffer(const std::string& buffer,
     uint32_t crc = DecodeFixed32(input.data() + 4);
     if (input.size() < 8 + static_cast<size_t>(len)) break;  // torn tail
     Slice payload(input.data() + 8, len);
-    if (Fnv1a(payload.data(), payload.size()) != crc) break;  // corrupt tail
+    if (Fnv1a32(payload.data(), payload.size()) != crc) break;  // corrupt tail
     LogRecord rec;
     if (!LogRecord::DecodeFrom(payload, &rec)) break;
     // LSNs are assigned contiguously (Reset() truncates bytes but keeps

@@ -26,6 +26,7 @@
 #include "testing/flaky_transport.h"
 #include "testing/schedule_controller.h"
 #include "txn/lock_manager.h"
+#include "util/checksum.h"
 #include "util/coding.h"
 
 namespace tendax {
@@ -237,19 +238,10 @@ TEST(ScopedTimerTest, RedirectOnDisarmedTimerStaysDisarmed) {
 
 // --- snapshot codec --------------------------------------------------------
 
-// Mirrors the codec's FNV-1a so tests can craft payloads with valid
-// checksums (to reach the strict post-checksum validation paths).
-uint32_t TestFnv1a(const std::string& s) {
-  uint32_t h = 2166136261u;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  return h;
-}
-
+// Appends the codec's checksum so tests can craft payloads that reach the
+// strict post-checksum validation paths.
 std::string Sealed(std::string payload) {
-  PutFixed32(&payload, TestFnv1a(payload));
+  PutFixed32(&payload, Fnv1a32(payload.data(), payload.size()));
   return payload;
 }
 

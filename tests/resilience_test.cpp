@@ -137,6 +137,79 @@ TEST_F(ResilienceTest, StaleDelayedRetryIsAbsorbedByDedup) {
   EXPECT_GE(r.endpoint->dedup_hits(), 1u);
 }
 
+// --- dedup exemption: reads run again, writes stay at-most-once ---
+
+TEST_F(ResilienceTest, LostReadResponseReExecutesAndReturnsCurrentText) {
+  DocumentId doc = MakeDoc(alice_, "lost-read", "a");
+  // Between the lost reply and the retry another writer commits: a read
+  // that runs again sees it, a cached reply would not.
+  bool typed = false;
+  RetryOptions retry;
+  retry.sleep_fn = [&](uint64_t) {
+    if (typed) return;
+    typed = true;
+    EXPECT_TRUE(server_->text()->InsertText(alice_, doc, 1, "b").ok());
+  };
+  Remote r = MakeRemote(alice_, "lread-editor", NoFaults(), retry);
+  ASSERT_TRUE(r.client->Open(doc).ok());
+  // An explicit key, so the exemption is the server's, not the client's
+  // (RetryingClient sends reads without one).
+  EditCommand read;
+  read.kind = CommandKind::kGetText;
+  read.doc = doc;
+  read.request_id = 4242;
+  r.transport->Force(2, NetFault::kDropResponse);
+  auto response = r.client->Call(read);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, StatusCode::kOk);
+  EXPECT_EQ(response->payload, "ab") << r.transport->Describe();
+  EXPECT_TRUE(typed);
+  EXPECT_EQ(r.client->stats().timeouts, 1u);
+  EXPECT_EQ(r.endpoint->dedup_hits(), 0u);
+}
+
+TEST_F(ResilienceTest, LostCopyResponseIsServedFromDedupCache) {
+  DocumentId doc = MakeDoc(alice_, "lost-copy", "hello");
+  Remote r = MakeRemote(alice_, "lcopy-editor", NoFaults());
+  ASSERT_TRUE(r.client->Open(doc).ok());
+  EditCommand copy;
+  copy.kind = CommandKind::kCopy;
+  copy.doc = doc;
+  copy.len = 5;
+  r.transport->Force(2, NetFault::kDropResponse);
+  auto first = r.client->Call(copy);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->code, StatusCode::kOk);
+  EXPECT_EQ(first->payload, "0") << r.transport->Describe();
+  EXPECT_EQ(r.endpoint->dedup_hits(), 1u);
+  // The retry did not run the copy again: the next copy gets handle 1.
+  auto second = r.client->Call(copy);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->payload, "1");
+}
+
+TEST_F(ResilienceTest, ReadsLeaveNoEntryInTheDedupCache) {
+  DocumentId doc = MakeDoc(alice_, "many-reads", "");
+  Remote r = MakeRemote(alice_, "reads-editor", NoFaults());
+  ASSERT_TRUE(r.client->Open(doc).ok());
+  ASSERT_TRUE(r.client->Type(doc, 0, "text").ok());
+  const size_t writes = r.endpoint->dedup_entries();
+  EXPECT_EQ(writes, 2u);
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(r.client->GetText(doc).ok());
+    ASSERT_TRUE(r.client->GetTextAt(doc, 1).ok());
+    EditCommand keyed;
+    keyed.kind = i % 2 == 0 ? CommandKind::kGetText : CommandKind::kGetTextAt;
+    keyed.doc = doc;
+    keyed.request_id = 1'000'000 + i;
+    auto response = r.client->Call(keyed);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->code, StatusCode::kOk);
+  }
+  EXPECT_EQ(r.endpoint->dedup_entries(), writes);
+  EXPECT_EQ(r.endpoint->dedup_hits(), 0u);
+}
+
 TEST_F(ResilienceTest, CorruptFramesAreTreatedAsLossNotAsCommands) {
   DocumentId doc = MakeDoc(alice_, "corrupt", "seed");
   Remote r = MakeRemote(alice_, "c-editor", NoFaults());

@@ -239,22 +239,138 @@ TEST(WireCodecTest, SeqEventBatchRoundTripAndFuzz) {
   }
 }
 
+std::string RandomBytes(Random* rng, size_t len) {
+  std::string out(len, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Uniform(256));
+  return out;
+}
+
+// The frame tests seal every body length from 0 to 80: every tail length
+// (0-7 bytes past the last full word), every lane a tail can land in, and
+// bodies shorter than one word or one four-lane stride.
+constexpr size_t kMaxFrameTestBody = 80;
+
 TEST(WireCodecTest, FrameChecksumDetectsEveryBitFlip) {
   Random rng(7);
-  const std::string body = RandomBlob(&rng, 64) + "payload";
-  std::string frame = SealFrame(body);
-  auto opened = OpenFrame(frame);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(*opened, body);
-  for (size_t pos = 0; pos < frame.size(); ++pos) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = frame;
-      damaged[pos] = static_cast<char>(damaged[pos] ^ (1 << bit));
-      EXPECT_TRUE(OpenFrame(damaged).status().IsCorruption())
-          << "flip at byte " << pos << " bit " << bit;
+  for (size_t len = 0; len <= kMaxFrameTestBody; ++len) {
+    const std::string body = RandomBytes(&rng, len);
+    std::string frame = SealFrame(body);
+    ASSERT_EQ(frame.size(), len + kFrameTrailerSize);
+    auto opened = OpenFrame(frame);
+    ASSERT_TRUE(opened.ok()) << "len " << len;
+    EXPECT_EQ(opened->ToString(), body);
+    for (size_t pos = 0; pos < frame.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        frame[pos] = static_cast<char>(frame[pos] ^ (1 << bit));
+        EXPECT_TRUE(OpenFrame(frame).status().IsCorruption())
+            << "len " << len << " flip at byte " << pos << " bit " << bit;
+        frame[pos] = static_cast<char>(frame[pos] ^ (1 << bit));
+      }
     }
   }
   EXPECT_TRUE(OpenFrame(Slice("abc")).status().IsCorruption());
+}
+
+TEST(WireCodecTest, FrameChecksumDetectsEveryByteSubstitution) {
+  Random rng(8);
+  for (size_t len = 0; len <= kMaxFrameTestBody; ++len) {
+    std::string frame = SealFrame(RandomBytes(&rng, len));
+    for (size_t pos = 0; pos < frame.size(); ++pos) {
+      const char original = frame[pos];
+      for (int value = 0; value < 256; ++value) {
+        if (static_cast<char>(value) == original) continue;
+        frame[pos] = static_cast<char>(value);
+        // Not EXPECT_TRUE per case: a million passing assertions would
+        // dominate the run time. The first failure stops the sweep.
+        if (!OpenFrame(frame).status().IsCorruption()) {
+          FAIL() << "len " << len << " byte " << pos << " := " << value;
+        }
+      }
+      frame[pos] = original;
+    }
+  }
+}
+
+TEST(WireCodecTest, FrameChecksumSeparatesTrailingZeroBytes) {
+  // The tail word is zero-padded, so only the length seed tells a body
+  // from the same body plus a zero byte.
+  Random rng(9);
+  for (size_t len = 0; len <= kMaxFrameTestBody; ++len) {
+    const std::string body = RandomBytes(&rng, len);
+    const std::string padded = body + '\0';
+    const std::string sealed = SealFrame(body);
+    const std::string sealed_padded = SealFrame(padded);
+    EXPECT_NE(sealed.substr(len), sealed_padded.substr(len + 1))
+        << "len " << len;
+    // The padded body under the short body's trailer is damage.
+    EXPECT_TRUE(OpenFrame(padded + sealed.substr(len)).status().IsCorruption())
+        << "len " << len;
+  }
+}
+
+TEST(WireCodecTest, TruncatedFrameIsCorruption) {
+  Random rng(10);
+  for (size_t len = 0; len <= kMaxFrameTestBody; ++len) {
+    const std::string frame = SealFrame(RandomBytes(&rng, len));
+    for (size_t cut = 1; cut <= kFrameTrailerSize; ++cut) {
+      EXPECT_TRUE(OpenFrame(Slice(frame.data(), frame.size() - cut))
+                      .status()
+                      .IsCorruption())
+          << "len " << len << " cut " << cut;
+      std::string owned = frame.substr(0, frame.size() - cut);
+      EXPECT_TRUE(OpenFrame(&owned).IsCorruption())
+          << "len " << len << " cut " << cut;
+    }
+  }
+}
+
+TEST(WireCodecTest, LargeFrameRoundTripsInPlace) {
+  Random rng(11);
+  const std::string body = RandomBytes(&rng, 1 << 20);
+  std::string frame = SealFrame(body);
+  auto view = OpenFrame(frame);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->data(), frame.data());  // a view, not a copy
+  EXPECT_TRUE(*view == Slice(body));
+  // Client side: the owned frame shrinks to its body in its own buffer.
+  const char* buffer = frame.data();
+  ASSERT_TRUE(OpenFrame(&frame).ok());
+  EXPECT_EQ(frame.data(), buffer);
+  EXPECT_TRUE(frame == body);
+  // A damaged frame is rejected and left as it was.
+  std::string damaged = SealFrame(body);
+  damaged[damaged.size() / 2] ^= 0x10;
+  const size_t damaged_size = damaged.size();
+  EXPECT_TRUE(OpenFrame(&damaged).IsCorruption());
+  EXPECT_EQ(damaged.size(), damaged_size);
+}
+
+TEST(WireCodecTest, EncodedResponseIsSealedWithoutACopy) {
+  // The encoder reserves the trailer, so sealing a moved-in response
+  // appends to its buffer instead of reallocating the payload.
+  WireResponse response;
+  response.payload = std::string(40 << 10, 'x');
+  std::string encoded = EncodeResponse(response);
+  const char* buffer = encoded.data();
+  std::string frame = SealFrame(std::move(encoded));
+  EXPECT_EQ(frame.data(), buffer);
+  EditCommand command;
+  command.kind = CommandKind::kType;
+  command.request_id = UINT64_MAX;
+  command.doc = DocumentId(UINT64_MAX);
+  command.pos = UINT64_MAX;
+  command.len = UINT64_MAX;
+  command.deadline_micros = UINT64_MAX;
+  command.text = std::string(3000, 'y');
+  std::string encoded_command = EncodeCommand(command);
+  buffer = encoded_command.data();
+  frame = SealFrame(std::move(encoded_command));
+  EXPECT_EQ(frame.data(), buffer);
+  auto body = OpenFrame(frame);
+  ASSERT_TRUE(body.ok());
+  auto decoded = DecodeCommand(*body);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->text, command.text);
 }
 
 TEST(WireCodecTest, RandomizedRoundTrips) {
