@@ -32,6 +32,18 @@ struct EditingEnv {
     return env;
   }
 
+  /// A document whose ~100-char live text sits on a chain of at least
+  /// `records` records: the rest are tombstones, written in 4000-char
+  /// type-then-delete rounds, as a long editing history leaves them.
+  DocumentId HistoryDoc(size_t records) {
+    DocumentId doc = FreshDoc(100);
+    for (size_t chain = 100; chain < records; chain += 4000) {
+      (void)server->text()->InsertText(user, doc, 50, std::string(4000, 'h'));
+      (void)server->text()->DeleteRange(user, doc, 50, 4000);
+    }
+    return doc;
+  }
+
   DocumentId FreshDoc(size_t chars) {
     static int counter = 0;
     auto doc = server->text()->CreateDocument(
@@ -77,6 +89,26 @@ void BM_InsertCharRandom(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InsertCharRandom)->Arg(1024)->Arg(16384)->Arg(65536);
+
+// One keystroke into a ~100-char live text whose chain carries a long
+// history of tombstones. The chain is a copy-on-write tree, so the cost
+// should follow the tree's height, not the record count.
+void BM_KeystrokeWithHistory(benchmark::State& state) {
+  EditingEnv* env = EditingEnv::Get();
+  DocumentId doc = env->HistoryDoc(static_cast<size_t>(state.range(0)));
+  Random rng(77);
+  size_t len = static_cast<size_t>(*env->server->text()->Length(doc));
+  for (auto _ : state) {
+    auto r = env->server->text()->InsertText(env->user, doc,
+                                             rng.Uniform(len + 1), "k");
+    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    ++len;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["chain_records"] = static_cast<double>(
+      env->server->text()->FullChain(doc)->size());
+}
+BENCHMARK(BM_KeystrokeWithHistory)->Arg(2000)->Arg(100000)->Arg(400000);
 
 // Deleting one character (tombstone transaction).
 void BM_DeleteCharRandom(benchmark::State& state) {

@@ -19,6 +19,7 @@ struct SearchEnv {
   UserId writer, reader;
   std::vector<DocumentId> docs;
   std::string common_word;  // appears in many documents
+  bool history_written = false;  // BM_QueryAfterEditBurst's tombstones
 
   static SearchEnv* Get(const std::string& family) {
     static auto* envs = new std::map<std::string, SearchEnv*>();
@@ -126,15 +127,35 @@ void BM_SearchWithMetadataFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchWithMetadataFilter)->Arg(100)->Arg(1000);
 
-// First query after a burst of edits pays the deferred re-indexing.
+// First query after a burst of edits pays the deferred re-indexing. The
+// second argument is the edited documents' history: with H > 0 the burst
+// goes round-robin to 8 documents whose chains each carry H tombstones on
+// top of their text, so the refresh diffs trees with a long history.
 void BM_QueryAfterEditBurst(benchmark::State& state) {
-  SearchEnv* env = SearchEnv::Get(__func__);
+  const size_t history = static_cast<size_t>(state.range(1));
+  SearchEnv* env =
+      SearchEnv::Get(std::string(__func__) + std::to_string(history));
   env->EnsureCorpus(200);
+  std::vector<DocumentId> edited = env->docs;
+  if (history > 0) edited.resize(8);
+  if (history > 0 && !env->history_written) {
+    env->history_written = true;
+    for (DocumentId doc : edited) {
+      for (size_t chain = 0; chain < history; chain += 4000) {
+        (void)env->server->text()->InsertText(env->writer, doc, 0,
+                                              std::string(4000, 'h'));
+        (void)env->server->text()->DeleteRange(env->writer, doc, 0, 4000);
+      }
+    }
+    (void)env->server->search()->Search(env->common_word);
+  }
   Random rng(31);
+  size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
     for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-      DocumentId doc = env->docs[rng.Uniform(env->docs.size())];
+      DocumentId doc = history > 0 ? edited[next++ % edited.size()]
+                                   : edited[rng.Uniform(edited.size())];
       (void)env->server->text()->InsertText(env->writer, doc, 0, "y");
     }
     state.ResumeTiming();
@@ -146,7 +167,12 @@ void BM_QueryAfterEditBurst(benchmark::State& state) {
   state.counters["dirty_docs_per_query"] =
       static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_QueryAfterEditBurst)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_QueryAfterEditBurst)
+    ->Args({1, 0})
+    ->Args({16, 0})
+    ->Args({64, 0})
+    ->Args({1, 100000})
+    ->Args({8, 100000});
 
 }  // namespace
 }  // namespace tendax

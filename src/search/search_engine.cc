@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
 #include "util/deadline.h"
 #include "util/logging.h"
@@ -41,7 +42,7 @@ char AsciiLower(unsigned char c) {
 
 // Calls `emit` with each lowercased token of `text`, in order.
 template <typename Emit>
-void ForEachToken(const std::string& text, Emit emit) {
+void ForEachToken(std::string_view text, Emit emit) {
   std::string current;
   for (unsigned char c : text) {
     if (IsWordByte(c)) {
@@ -54,102 +55,149 @@ void ForEachToken(const std::string& text, Emit emit) {
   if (!current.empty()) emit(std::move(current));
 }
 
-using Segments = std::vector<std::shared_ptr<const SnapSegment>>;
+// Tree nodes by address. A diff holds both roots, so no address in it is
+// freed or reused while it runs.
+using Nodes = std::vector<const SnapNode*>;
 using TermDelta = std::unordered_map<std::string, int64_t>;
 
-void AddTokens(const std::string& text, int64_t sign, TermDelta* delta) {
+void AddTokens(std::string_view text, int64_t sign, TermDelta* delta) {
   ForEachToken(text, [&](std::string token) {
     (*delta)[std::move(token)] += sign;
   });
 }
 
-void AppendTexts(const Segments& segs, size_t begin, size_t end,
+// Adds the token changes that turn `old_text` into `new_text`. Their common
+// prefix up to its last separator, and their common suffix from its first
+// one, tokenize the same on both sides (no token crosses a separator), so
+// only the words in between are counted.
+void AddTextDelta(std::string_view old_text, std::string_view new_text,
+                  TermDelta* delta) {
+  size_t head = 0;
+  while (head < old_text.size() && head < new_text.size() &&
+         old_text[head] == new_text[head]) {
+    ++head;
+  }
+  while (head > 0 && IsWordByte(old_text[head - 1])) --head;
+  old_text.remove_prefix(head);
+  new_text.remove_prefix(head);
+  size_t tail = 0;
+  while (tail < old_text.size() && tail < new_text.size() &&
+         old_text[old_text.size() - 1 - tail] ==
+             new_text[new_text.size() - 1 - tail]) {
+    ++tail;
+  }
+  while (tail > 0 && IsWordByte(old_text[old_text.size() - tail])) --tail;
+  old_text.remove_suffix(tail);
+  new_text.remove_suffix(tail);
+  AddTokens(old_text, -1, delta);
+  AddTokens(new_text, +1, delta);
+}
+
+void AppendTexts(const Nodes& nodes, size_t begin, size_t end,
                  std::string* out) {
-  for (size_t s = begin; s < end; ++s) *out += segs[s]->text;
-}
-
-// Appends the text of segs[begin, end) up to its first separator; returns
-// whether there was one (false: the whole run was appended).
-bool AppendLeadingWord(const Segments& segs, size_t begin, size_t end,
-                       std::string* out) {
   for (size_t s = begin; s < end; ++s) {
-    const std::string& text = segs[s]->text;
-    for (size_t i = 0; i < text.size(); ++i) {
-      if (!IsWordByte(text[i])) {
-        out->append(text, 0, i);
-        return true;
-      }
-    }
-    *out += text;
+    ForEachTextSegment(*nodes[s], [&](const SnapSegment& seg) {
+      *out += seg.text;
+      return true;
+    });
   }
-  return false;
 }
 
-// Appends the text of segs[begin, end) after its last separator (all of it
-// if there is none).
-void AppendTrailingWord(const Segments& segs, size_t begin, size_t end,
+// Appends the text of nodes[begin, end) up to its first separator; returns
+// whether there was one (false: the whole run was appended).
+bool AppendLeadingWord(const Nodes& nodes, size_t begin, size_t end,
+                       std::string* out) {
+  bool separated = false;
+  for (size_t s = begin; s < end && !separated; ++s) {
+    ForEachTextSegment(*nodes[s], [&](const SnapSegment& seg) {
+      const std::string& text = seg.text;
+      for (size_t i = 0; i < text.size(); ++i) {
+        if (!IsWordByte(text[i])) {
+          out->append(text, 0, i);
+          separated = true;
+          return false;
+        }
+      }
+      *out += text;
+      return true;
+    });
+  }
+  return separated;
+}
+
+// Appends the text of nodes[begin, end) after its last separator (all of
+// it if there is none).
+void AppendTrailingWord(const Nodes& nodes, size_t begin, size_t end,
                         std::string* out) {
-  for (size_t s = end; s-- > begin;) {
-    const std::string& text = segs[s]->text;
-    for (size_t i = text.size(); i > 0; --i) {
-      if (!IsWordByte(text[i - 1])) {
-        out->append(text, i);
-        AppendTexts(segs, s + 1, end, out);
-        return;
-      }
-    }
+  // Leaf texts after the last separator, nearest to `end` first.
+  std::vector<const std::string*> tail;
+  bool separated = false;
+  for (size_t s = end; s-- > begin && !separated;) {
+    ForEachTextSegment(
+        *nodes[s],
+        [&](const SnapSegment& seg) {
+          const std::string& text = seg.text;
+          for (size_t i = text.size(); i > 0; --i) {
+            if (!IsWordByte(text[i - 1])) {
+              out->append(text, i);
+              separated = true;
+              return false;
+            }
+          }
+          tail.push_back(&text);
+          return true;
+        },
+        /*backward=*/true);
   }
-  AppendTexts(segs, begin, end, out);
+  for (auto it = tail.rbegin(); it != tail.rend(); ++it) *out += **it;
 }
 
-// Where two segment lists differ: old[old_begin, old_end) was replaced by
-// new[new_begin, new_end), between two segments both lists share.
+// Where two node lists differ: old[old_begin, old_end) was replaced by
+// new[new_begin, new_end), between two nodes both lists share.
 struct Gap {
   size_t old_begin, old_end;
   size_t new_begin, new_end;
 };
 
-// The gaps between the segments `old_segs` and `new_segs` share by pointer.
-// Copy-on-write never reorders segments, so the shared ones must form an
+// The gaps between the nodes `old_nodes` and `new_nodes` share by pointer.
+// Copy-on-write never reorders nodes, so the shared ones must form an
 // ordered common subsequence; if they do not, the whole list is one gap.
-std::vector<Gap> SegmentGaps(const Segments& old_segs,
-                             const Segments& new_segs) {
+std::vector<Gap> SharedGaps(const Nodes& old_nodes, const Nodes& new_nodes) {
   // Edits between two refreshes are usually in one place: step over the
   // shared head and tail before indexing what lies between.
   size_t head = 0;
-  while (head < old_segs.size() && head < new_segs.size() &&
-         old_segs[head] == new_segs[head]) {
+  while (head < old_nodes.size() && head < new_nodes.size() &&
+         old_nodes[head] == new_nodes[head]) {
     ++head;
   }
-  size_t old_tail = old_segs.size();
-  size_t new_tail = new_segs.size();
+  size_t old_tail = old_nodes.size();
+  size_t new_tail = new_nodes.size();
   while (old_tail > head && new_tail > head &&
-         old_segs[old_tail - 1] == new_segs[new_tail - 1]) {
+         old_nodes[old_tail - 1] == new_nodes[new_tail - 1]) {
     --old_tail;
     --new_tail;
   }
-  // (address, position) of the old segments in between, sorted for binary
+  // (address, position) of the old nodes in between, sorted for binary
   // search: one allocation, where a node-based hash map takes one each.
-  std::vector<std::pair<uintptr_t, size_t>> old_index;
+  std::vector<std::pair<const SnapNode*, size_t>> old_index;
   old_index.reserve(old_tail - head);
   for (size_t i = head; i < old_tail; ++i) {
-    old_index.emplace_back(reinterpret_cast<uintptr_t>(old_segs[i].get()), i);
+    old_index.emplace_back(old_nodes[i], i);
   }
   std::sort(old_index.begin(), old_index.end());
   std::vector<Gap> gaps;
-  size_t old_next = head;  // just past the last shared segment
+  size_t old_next = head;  // just past the last shared node
   size_t new_next = head;
   for (size_t j = head; j <= new_tail; ++j) {
-    size_t i = old_tail;  // the shared tail acts as a final shared segment
+    size_t i = old_tail;  // the shared tail acts as a final shared node
     if (j < new_tail) {
-      const auto key = reinterpret_cast<uintptr_t>(new_segs[j].get());
       auto it = std::lower_bound(old_index.begin(), old_index.end(),
-                                 std::make_pair(key, size_t{0}));
-      if (it == old_index.end() || it->first != key) continue;
+                                 std::make_pair(new_nodes[j], size_t{0}));
+      if (it == old_index.end() || it->first != new_nodes[j]) continue;
       i = it->second;
     }
     if (i < old_next) {
-      return {Gap{0, old_segs.size(), 0, new_segs.size()}};
+      return {Gap{0, old_nodes.size(), 0, new_nodes.size()}};
     }
     if (i > old_next || j > new_next) {
       gaps.push_back(Gap{old_next, i, new_next, j});
@@ -160,35 +208,100 @@ std::vector<Gap> SegmentGaps(const Segments& old_segs,
   return gaps;
 }
 
-// Token count changes that turn the content of `old_segs` into that of
-// `new_segs`. Each gap is widened to word boundaries inside the shared
-// segments around it, so no token crosses a window's edge; gaps with no
-// separator between them share one window. Shared text outside the
-// windows tokenizes the same in both and is never read.
-TermDelta ContentDelta(const Segments& old_segs, const Segments& new_segs) {
-  std::vector<Gap> gaps = SegmentGaps(old_segs, new_segs);
+// The children of nodes[begin, end), in order.
+Nodes Children(const Nodes& nodes, size_t begin, size_t end) {
+  Nodes out;
+  for (size_t i = begin; i < end; ++i) {
+    for (const auto& child : AsInterior(*nodes[i]).children) {
+      out.push_back(child.get());
+    }
+  }
+  return out;
+}
+
+// Lays out the leaf sequences under `old_level` and `new_level` (each a
+// list of nodes of one height, or empty) with every subtree the two share
+// kept whole: a shared subtree appears as the same pointer in both
+// outputs, at the same place in the order, and everything else is
+// expanded down to its leaves. Level by level, only the children of the
+// gaps between shared nodes are opened, so the walk follows the paths that
+// copy-on-write cloned. Appends the gaps between the shared leaves and
+// subtrees, in order, to `gaps`.
+void LayOut(Nodes old_level, Nodes new_level, Nodes* old_out, Nodes* new_out,
+            std::vector<Gap>* gaps) {
+  auto height = [](const Nodes& level) {
+    return level.empty() ? 0 : level.front()->height;
+  };
+  // Nodes of different heights are never shared: open the taller side.
+  while (height(old_level) != height(new_level)) {
+    Nodes& taller =
+        height(old_level) > height(new_level) ? old_level : new_level;
+    taller = Children(taller, 0, taller.size());
+  }
+  if (height(new_level) == 0) {
+    for (const Gap& gap : SharedGaps(old_level, new_level)) {
+      gaps->push_back(Gap{old_out->size() + gap.old_begin,
+                          old_out->size() + gap.old_end,
+                          new_out->size() + gap.new_begin,
+                          new_out->size() + gap.new_end});
+    }
+    old_out->insert(old_out->end(), old_level.begin(), old_level.end());
+    new_out->insert(new_out->end(), new_level.begin(), new_level.end());
+    return;
+  }
+  size_t old_next = 0;
+  size_t new_next = 0;
+  auto shared_run = [&](size_t old_end, size_t new_end) {
+    old_out->insert(old_out->end(), old_level.begin() + old_next,
+                    old_level.begin() + old_end);
+    new_out->insert(new_out->end(), new_level.begin() + new_next,
+                    new_level.begin() + new_end);
+  };
+  for (const Gap& gap : SharedGaps(old_level, new_level)) {
+    shared_run(gap.old_begin, gap.new_begin);
+    LayOut(Children(old_level, gap.old_begin, gap.old_end),
+           Children(new_level, gap.new_begin, gap.new_end), old_out, new_out,
+           gaps);
+    old_next = gap.old_end;
+    new_next = gap.new_end;
+  }
+  shared_run(old_level.size(), new_level.size());
+}
+
+// Token count changes that turn the content of the tree at `old_root` into
+// that of `new_root` (either may be null: empty). The two trees are laid
+// out down to the leaves where they differ, and each gap between shared
+// leaves or subtrees is widened to word boundaries inside the shared text
+// around it, so no token crosses a window's edge; gaps with no separator
+// between them (adjacent ones included) share one window. Shared text
+// outside the windows tokenizes the same in both and is never read.
+TermDelta ContentDelta(const SnapNode* old_root, const SnapNode* new_root) {
+  Nodes old_nodes;
+  Nodes new_nodes;
+  std::vector<Gap> gaps;
+  LayOut(old_root ? Nodes{old_root} : Nodes{},
+         new_root ? Nodes{new_root} : Nodes{}, &old_nodes, &new_nodes, &gaps);
   TermDelta delta;
   for (size_t g = 0; g < gaps.size();) {
     std::string before;
-    AppendTrailingWord(new_segs, g == 0 ? 0 : gaps[g - 1].new_end,
+    AppendTrailingWord(new_nodes, g == 0 ? 0 : gaps[g - 1].new_end,
                        gaps[g].new_begin, &before);
     std::string old_window = before;
     std::string new_window = std::move(before);
     bool separated = false;
     while (!separated && g < gaps.size()) {
-      AppendTexts(old_segs, gaps[g].old_begin, gaps[g].old_end, &old_window);
-      AppendTexts(new_segs, gaps[g].new_begin, gaps[g].new_end, &new_window);
+      AppendTexts(old_nodes, gaps[g].old_begin, gaps[g].old_end, &old_window);
+      AppendTexts(new_nodes, gaps[g].new_begin, gaps[g].new_end, &new_window);
       size_t run_end =
-          g + 1 < gaps.size() ? gaps[g + 1].new_begin : new_segs.size();
+          g + 1 < gaps.size() ? gaps[g + 1].new_begin : new_nodes.size();
       std::string after;
       separated =
-          AppendLeadingWord(new_segs, gaps[g].new_end, run_end, &after);
+          AppendLeadingWord(new_nodes, gaps[g].new_end, run_end, &after);
       old_window += after;
       new_window += after;
       ++g;
     }
-    AddTokens(old_window, -1, &delta);
-    AddTokens(new_window, +1, &delta);
+    AddTextDelta(old_window, new_window, &delta);
   }
   return delta;
 }
@@ -245,7 +358,7 @@ Status SearchEngine::Init() {
 }
 
 Status SearchEngine::IndexDocument(DocumentId doc) {
-  // One MVCC snapshot gives version, segments and name from the same
+  // One MVCC snapshot gives version, tree and name from the same
   // committed state, so the three can never straddle a concurrent edit.
   auto snap = text_->AcquireSnapshot(doc);
   if (!snap.ok()) return snap.status();
@@ -254,7 +367,7 @@ Status SearchEngine::IndexDocument(DocumentId doc) {
   for (;;) {
     bool indexed = false;
     Version base_version = 0;
-    Segments base;
+    std::shared_ptr<const SnapNode> base;
     std::string base_name;
     {
       MutexLock lock(mu_);
@@ -263,19 +376,15 @@ Status SearchEngine::IndexDocument(DocumentId doc) {
         indexed = true;
         base_version = it->second.version;
         if (base_version >= now.version()) break;  // already this fresh
-        base = it->second.segments;
+        base = it->second.root;
         base_name = it->second.name;
       }
     }
 
-    TermDelta delta = ContentDelta(base, now.segments());
-    if (base_name != name) {
-      AddTokens(base_name, -1, &delta);
-      AddTokens(name, +1, &delta);
-    }
-    // Declared before the lock so the replaced segments are released
-    // after it.
-    Segments pinned = now.segments();
+    TermDelta delta = ContentDelta(base.get(), now.root().get());
+    if (base_name != name) AddTextDelta(base_name, name, &delta);
+    // Declared before the lock so the replaced tree is released after it.
+    std::shared_ptr<const SnapNode> pinned = now.root();
 
     MutexLock lock(mu_);
     auto it = doc_postings_.find(doc.value);
@@ -304,7 +413,7 @@ Status SearchEngine::IndexDocument(DocumentId doc) {
       }
     }
     p.version = now.version();
-    p.segments.swap(pinned);
+    p.root.swap(pinned);
     p.name = name;
     break;
   }
@@ -436,15 +545,16 @@ std::string SearchEngine::Snippet(DocumentId doc, const std::string& term) {
   constexpr size_t kNoMatch = 40;  // bytes shown when the term is absent
   auto snap = text_->AcquireSnapshot(doc);
   if (!snap.ok()) return "";
-  // Read segment texts until kLength bytes past the first match: the rest
-  // of the document cannot change the snippet.
+  // Read text chunks until kLength bytes past the first match: the rest of
+  // the document cannot change the snippet.
   std::string text;
   size_t at = std::string::npos;
-  for (const auto& seg : (*snap)->segments()) {
+  const std::shared_ptr<const SnapNode>& root = (*snap)->root();
+  if (root != nullptr) ForEachTextChunk(*root, [&](const std::string& chunk) {
     // A match may straddle the boundary: resume just before the new text.
     size_t from =
         text.size() >= term.size() ? text.size() - term.size() + 1 : 0;
-    text += seg->text;
+    text += chunk;
     if (at == std::string::npos) {
       auto hit = std::search(text.begin() + from, text.end(), term.begin(),
                              term.end(), [](unsigned char c, char t) {
@@ -452,8 +562,8 @@ std::string SearchEngine::Snippet(DocumentId doc, const std::string& term) {
                              });
       if (hit != text.end()) at = hit - text.begin();
     }
-    if (at != std::string::npos && text.size() > at + kLength) break;
-  }
+    return at == std::string::npos || text.size() <= at + kLength;
+  });
   // Cuts snap back to code-point starts, so no snippet splits a character.
   if (at == std::string::npos) {
     return text.substr(0,

@@ -51,9 +51,10 @@ std::vector<std::string> Tokenize(const std::string& text);
 /// Content / structure / metadata search with pluggable ranking over an
 /// incrementally maintained in-memory inverted index (derived data, rebuilt
 /// at startup). A committed edit only marks its document dirty; the next
-/// query brings each dirty document up to its latest snapshot by diffing
-/// the snapshot's copy-on-write segments against the ones last indexed and
-/// re-tokenizing only the windows around the segments that changed.
+/// query brings each dirty document up to its latest snapshot by walking
+/// the snapshot's copy-on-write tree together with the one last indexed,
+/// skipping every shared subtree, and re-tokenizing only the windows around
+/// the leaves that changed.
 class SearchEngine {
  public:
   SearchEngine(Database* db, TextStore* text, MetaStore* meta,
@@ -81,14 +82,12 @@ class SearchEngine {
   size_t DirtyDocuments() const;
 
  private:
-  using Segments = std::vector<std::shared_ptr<const SnapSegment>>;
-
   struct DocPostings {
     Version version = 0;  // snapshot version the entry reflects
-    // The snapshot segments last indexed. Holding them pins their
-    // addresses, so an unchanged pointer in a later snapshot is sound
-    // proof of unchanged text.
-    Segments segments;
+    // The root of the snapshot tree last indexed. Holding it pins every
+    // node's address, so an unchanged pointer in a later snapshot is sound
+    // proof of an unchanged subtree.
+    std::shared_ptr<const SnapNode> root;
     std::string name;
     uint64_t term_count = 0;  // total tokens, content and name
     std::unordered_map<std::string, uint32_t> counts;  // term -> occurrences

@@ -87,6 +87,13 @@ CharInfo CharInfoFromRecord(const Record& rec) {
   return info;
 }
 
+std::vector<uint64_t> CharIdValues(const std::vector<CharId>& ids) {
+  std::vector<uint64_t> out;
+  out.reserve(ids.size());
+  for (CharId id : ids) out.push_back(id.value);
+  return out;
+}
+
 }  // namespace
 
 TextStore::TextStore(Database* db)
@@ -660,16 +667,16 @@ Result<EditResult> TextStore::DeleteRange(UserId user, DocumentId doc,
         if (pos + len > h->chain.live_size()) {
           return Status::OutOfRange("delete range beyond document length");
         }
-        for (size_t i = pos; i < pos + len; ++i) {
-          const SnapChar& c = h->chain.LiveAt(i);
-          auto rec = ReadCharRecord(h, c.id);
+        // One descent tombstones the range in the cache and names its
+        // chars; a failed record update drops the cache with the txn.
+        for (uint64_t id : h->chain.TombstoneRange(pos, len, out->version)) {
+          auto rec = ReadCharRecord(h, id);
           if (!rec.ok()) return rec.status();
           rec->value(kCcDelVer) = uint64_t{out->version};
           rec->value(kCcDeletedBy) = user.value;
-          TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, c.id, *rec));
-          out->chars.push_back(CharId(c.id));
+          TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id, *rec));
+          out->chars.push_back(CharId(id));
         }
-        h->chain.TombstoneRange(pos, len, out->version);
         return Status::OK();
       });
 }
@@ -686,9 +693,12 @@ Result<EditResult> TextStore::DeleteChars(UserId user, DocumentId doc,
           rec->value(kCcDelVer) = uint64_t{out->version};
           rec->value(kCcDeletedBy) = user.value;
           TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id.value, *rec));
-          h->chain.TombstoneById(id.value, out->version);
           out->chars.push_back(id);
         }
+        // The records name the chars to flip; the cache follows in one
+        // pass over the leaves holding them.
+        TENDAX_CHECK(h->chain.SetDeleted(CharIdValues(out->chars),
+                                         out->version) == out->chars.size());
         return Status::OK();
       });
 }
@@ -705,9 +715,10 @@ Result<EditResult> TextStore::ResurrectChars(UserId user, DocumentId doc,
           rec->value(kCcDelVer) = uint64_t{0};
           rec->value(kCcDeletedBy) = uint64_t{0};
           TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id.value, *rec));
-          h->chain.ResurrectById(id.value);
           out->chars.push_back(id);
         }
+        TENDAX_CHECK(h->chain.SetDeleted(CharIdValues(out->chars), 0) ==
+                     out->chars.size());
         return Status::OK();
       });
 }

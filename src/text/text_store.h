@@ -247,7 +247,8 @@ class TextStore {
                              const EditBody& body);
 
   /// Materializes an immutable snapshot of the handle's current state
-  /// (shares chain segments copy-on-write; cheap).
+  /// (shares the chain tree copy-on-write; pays only for the leaves edited
+  /// since the last one).
   SnapshotRef PrepareLockedSnapshot(DocHandle* handle)
       TENDAX_REQUIRES(handle->mu);
   /// Commit listener: publishes the pending snapshot of every document a

@@ -358,8 +358,82 @@ TEST_F(SearchTest, IncrementalIndexEqualsFullReindex) {
   ExpectEqualsFullReindex(all);
 }
 
+// The same oracle on documents deep enough for a multi-level tree: big
+// pastes split leaves and then interior nodes, long deletes leave leaves
+// with no live text, purges unlink emptied leaves and interior nodes, and
+// handle reloads rebuild every node. Each refresh diffs two trees that
+// share most subtrees; a freshly built index must agree with it.
+TEST_F(SearchTest, IncrementalIndexFollowsMultiLevelTrees) {
+  const std::vector<std::string> words = {"alpha", "beta", "Gamma", "x1",
+                                          "caf\xC3\xA9", "database", "r2d2"};
+  const std::vector<std::string> separators = {" ", " ", ",", "\n", ""};
+  Random rng(4242);
+  auto random_text = [&](size_t n_words) {
+    std::string out;
+    for (size_t i = 0; i < n_words; ++i) {
+      out += words[rng.Uniform(words.size())];
+      out += separators[rng.Uniform(separators.size())];
+    }
+    return out;
+  };
+  TextStore* text = server_->text();
+  UndoManager* undo = server_->undo();
+  std::vector<DocumentId> docs = {
+      MakeDoc(alice_, "deep-one", random_text(900)),
+      MakeDoc(alice_, "deep-two", random_text(900))};
+  uint32_t max_height = 0;
+  uint64_t purged = 0;
+  for (int op = 0; op < 240; ++op) {
+    DocumentId doc = docs[rng.Uniform(docs.size())];
+    const uint64_t len = text->Length(doc).value_or(0);
+    const uint64_t kind = rng.Uniform(20);
+    if (kind < 7 || len < 50) {
+      std::string piece = rng.OneIn(3) ? random_text(200 + rng.Uniform(800))
+                                       : random_text(1);
+      auto r = text->InsertText(alice_, doc, rng.Uniform(len + 1), piece);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      undo->RecordInsert(alice_, doc, *r, piece);
+    } else if (kind < 12) {
+      uint64_t n =
+          1 + rng.Uniform(std::min<uint64_t>(len, rng.OneIn(3) ? 2000 : 8));
+      uint64_t pos = rng.Uniform(len - n + 1);
+      std::string gone = *text->TextRange(doc, pos, n);
+      auto r = text->DeleteRange(alice_, doc, pos, n);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      undo->RecordDelete(alice_, doc, *r, gone);
+    } else if (kind < 15) {
+      (void)(rng.OneIn(2) ? undo->UndoLocal(alice_, doc)
+                          : undo->RedoLocal(alice_, doc));
+    } else if (kind < 17) {
+      auto n = text->PurgeHistory(alice_, doc, *text->CurrentVersion(doc));
+      ASSERT_TRUE(n.ok());
+      purged += *n;
+    } else if (kind < 18) {
+      text->InvalidateHandle(doc);
+    }
+    auto snap = text->AcquireSnapshot(doc);
+    ASSERT_TRUE(snap.ok());
+    if ((*snap)->root() != nullptr) {
+      max_height = std::max(max_height, (*snap)->root()->height);
+    }
+    if (rng.OneIn(4)) {
+      std::vector<std::string> queries = SampleTokens(doc, 3, &rng);
+      queries.push_back(Tokenize(words[rng.Uniform(words.size())]).front());
+      ExpectEqualsFullReindex(queries);
+      if (HasFatalFailure() || HasNonfatalFailure()) {
+        FAIL() << "diverged after op " << op;
+      }
+    }
+  }
+  EXPECT_GE(max_height, 2u);
+  EXPECT_GT(purged, 0u);
+  std::string all;
+  for (const std::string& w : words) all += w + " ";
+  ExpectEqualsFullReindex(Tokenize(all));
+}
+
 // Three typists and one searcher share two documents. Refreshes pin the
-// segments they diff while writers clone them; once everyone stops, the
+// trees they diff while writers clone them; once everyone stops, the
 // index must equal a full re-index.
 TEST_F(SearchTest, ConcurrentTypistsAndSearcherConvergeToFullReindex) {
   std::vector<DocumentId> docs = {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <thread>
 
 #include "text/text_store.h"
@@ -472,6 +474,337 @@ TEST_F(TextStoreTest, ConcurrentEditorsOnDistinctDocuments) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(*store_->Text(docs[t]), std::string(kEdits, 'a' + t));
   }
+}
+
+// ---------- VersionedCharList: the copy-on-write segment tree ----------
+
+// The chain as a flat vector in physical order: the reference the tree is
+// checked against after every step.
+class FlatChain {
+ public:
+  // Index just past the live char at live_pos-1 (0 for live_pos == 0).
+  size_t InsertionPoint(size_t live_pos) const {
+    if (live_pos == 0) return 0;
+    for (size_t i = 0; i < chars_.size(); ++i) {
+      if (chars_[i].deleted == 0 && --live_pos == 0) return i + 1;
+    }
+    ADD_FAILURE() << "live position out of range";
+    return chars_.size();
+  }
+  // The live chars, by their index in chars_.
+  std::vector<size_t> LiveIndex() const {
+    std::vector<size_t> out;
+    for (size_t i = 0; i < chars_.size(); ++i) {
+      if (chars_[i].deleted == 0) out.push_back(i);
+    }
+    return out;
+  }
+  std::string Text() const { return TextAt(UINT64_MAX); }
+  std::string TextAt(Version version) const {
+    std::string out;
+    for (const SnapChar& c : chars_) {
+      if (c.inserted <= version && (c.deleted == 0 || c.deleted > version)) {
+        AppendUtf8(&out, c.cp);
+      }
+    }
+    return out;
+  }
+
+  std::vector<SnapChar> chars_;
+};
+
+std::string Utf8Of(const std::vector<SnapChar>& chars) {
+  std::string out;
+  for (const SnapChar& c : chars) {
+    if (c.deleted == 0) AppendUtf8(&out, c.cp);
+  }
+  return out;
+}
+
+// Walks a frozen tree: every node's aggregates equal what its subtree
+// holds, children sit one level down, no node is empty or over the
+// fanout bound, and each leaf's and bottom interior node's text is the
+// UTF-8 of its live chars.
+// Appends the leaves' chars in physical order to `chain`.
+void CheckNode(const SnapNode& node, std::vector<SnapChar>* chain) {
+  EXPECT_TRUE(node.frozen);
+  EXPECT_GT(node.records, 0u) << "an empty node stayed linked";
+  const size_t first = chain->size();
+  if (node.height == 0) {
+    const SnapSegment& seg = AsSegment(node);
+    chain->insert(chain->end(), seg.chars.begin(), seg.chars.end());
+    EXPECT_EQ(seg.text, Utf8Of(seg.chars));
+    EXPECT_LE(seg.chars.size(), 256u);
+  } else {
+    const auto& children = AsInterior(node).children;
+    EXPECT_FALSE(children.empty());
+    EXPECT_LE(children.size(), 64u);
+    for (const auto& child : children) {
+      ASSERT_EQ(child->height + 1, node.height);
+      CheckNode(*child, chain);
+    }
+  }
+  size_t live = 0;
+  std::string text;
+  uint64_t min_id = UINT64_MAX, max_id = 0;
+  for (size_t i = first; i < chain->size(); ++i) {
+    const SnapChar& c = (*chain)[i];
+    if (c.deleted == 0) {
+      ++live;
+      AppendUtf8(&text, c.cp);
+    }
+    min_id = std::min(min_id, c.id);
+    max_id = std::max(max_id, c.id);
+  }
+  EXPECT_EQ(node.records, chain->size() - first);
+  EXPECT_EQ(node.live, live);
+  EXPECT_EQ(node.bytes, text.size());
+  if (node.height == 1) {
+    EXPECT_EQ(AsInterior(node).text, text);
+  }
+  EXPECT_EQ(node.min_id, min_id);
+  EXPECT_EQ(node.max_id, max_id);
+}
+
+std::string TextOf(const std::shared_ptr<const SnapNode>& root) {
+  DocumentInfo info;
+  info.length = root == nullptr ? 0 : root->live;
+  return CharListSnapshot(info, 0, root, nullptr).Text();
+}
+
+bool SameChar(const SnapChar& a, const SnapChar& b) {
+  return a.id == b.id && a.cp == b.cp && a.inserted == b.inserted &&
+         a.deleted == b.deleted && a.src_doc == b.src_doc &&
+         a.src_char == b.src_char && a.src_external == b.src_external;
+}
+
+// Every node of the tree at `root`, by address.
+void CollectNodes(const SnapNode* node, std::set<const SnapNode*>* out) {
+  if (node == nullptr) return;
+  out->insert(node);
+  if (node->height == 0) return;
+  for (const auto& child : AsInterior(*node).children) {
+    CollectNodes(child.get(), out);
+  }
+}
+
+// Seeded runs of keystrokes, pastes, range and batch tombstones, batch
+// revivals, purges, rebuilds and freezes, grown past three tree levels
+// (leaves, interior nodes, root). After every step the tree equals a flat
+// reference chain; every frozen snapshot keeps returning its text.
+TEST(CharTreeTest, MatchesFlatModelAcrossSeededEdits) {
+  const std::vector<uint32_t> alphabet = {'a', 'b', ' ', ',', '\n', 0xE9,
+                                          0x20AC, 0x1F600, 'Z', '7'};
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    VersionedCharList tree;
+    FlatChain flat;
+    uint64_t next_id = 1;
+    Version version = 0;
+    Version floor = 0;  // versions below were purged
+    uint32_t max_height = 0;
+    std::vector<std::vector<uint64_t>> gestures;  // tombstoned id sets
+    struct Kept {
+      SnapshotRef snap;
+      std::string text;
+      Version version;
+      std::string text_at_version;
+    };
+    std::vector<Kept> kept;
+    for (int step = 0; step < 1000; ++step) {
+      ++version;
+      const size_t live = tree.live_size();
+      const uint64_t kind = rng.Uniform(100);
+      if (kind < 45 || live == 0) {
+        // Keystrokes mostly; pastes large enough to split leaves and, with
+        // several in one place, the interior node above them.
+        size_t n = rng.OneIn(5) ? 100 + rng.Uniform(900) : 1 + rng.Uniform(3);
+        std::vector<SnapChar> run(n);
+        for (SnapChar& c : run) {
+          c.id = next_id++;
+          c.cp = alphabet[rng.Uniform(alphabet.size())];
+          c.inserted = version;
+          if (rng.OneIn(4)) {
+            c.src_doc = 9;
+            c.src_char = rng.Uniform(1000);
+            c.src_external = "clip";
+          }
+        }
+        size_t pos = rng.OneIn(3) ? live : rng.Uniform(live + 1);
+        tree.InsertRun(pos, run);
+        size_t at = flat.InsertionPoint(pos);
+        flat.chars_.insert(flat.chars_.begin() + at, run.begin(), run.end());
+      } else if (kind < 75) {
+        size_t n =
+            1 + rng.Uniform(std::min<size_t>(live, rng.OneIn(4) ? 600 : 4));
+        size_t pos = rng.Uniform(live - n + 1);
+        std::vector<uint64_t> want;
+        size_t seen = 0;
+        for (SnapChar& c : flat.chars_) {
+          if (c.deleted != 0) continue;
+          if (seen >= pos && seen < pos + n) {
+            c.deleted = version;
+            want.push_back(c.id);
+          }
+          ++seen;
+        }
+        ASSERT_EQ(tree.TombstoneRange(pos, n, version), want);
+        gestures.push_back(want);
+      } else if (kind < 83 && !gestures.empty()) {
+        // Undo of a delete: revive one gesture's ids (some may be live
+        // again or purged already) plus an id no char has.
+        size_t pick = rng.Uniform(gestures.size());
+        std::vector<uint64_t> ids = gestures[pick];
+        gestures.erase(gestures.begin() + pick);
+        ids.push_back(next_id + 1000);
+        size_t want = 0;
+        for (SnapChar& c : flat.chars_) {
+          if (c.deleted != 0 &&
+              std::find(ids.begin(), ids.end(), c.id) != ids.end()) {
+            c.deleted = 0;
+            ++want;
+          }
+        }
+        ASSERT_EQ(tree.SetDeleted(ids, 0), want);
+      } else if (kind < 91) {
+        // Undo of an insert: tombstone a scattered id set.
+        std::vector<uint64_t> ids;
+        for (int i = 0; i < 6; ++i) ids.push_back(1 + rng.Uniform(next_id));
+        size_t want = 0;
+        for (SnapChar& c : flat.chars_) {
+          if (c.deleted == 0 &&
+              std::find(ids.begin(), ids.end(), c.id) != ids.end()) {
+            c.deleted = version;
+            ++want;
+          }
+        }
+        ASSERT_EQ(tree.SetDeleted(ids, version), want);
+        gestures.push_back(ids);
+      } else if (kind < 93) {
+        Version before = version - rng.Uniform(std::min<Version>(version, 50));
+        size_t want = std::erase_if(flat.chars_, [&](const SnapChar& c) {
+          return c.deleted != 0 && c.deleted <= before;
+        });
+        ASSERT_EQ(tree.PurgeBelow(before), want);
+        if (want > 0) floor = std::max(floor, before);
+      } else if (kind < 94) {
+        tree.Rebuild(flat.chars_);
+      }
+      const std::vector<size_t> live_at = flat.LiveIndex();
+      ASSERT_EQ(tree.live_size(), live_at.size());
+      for (int probe = 0; probe < 3 && !live_at.empty(); ++probe) {
+        size_t pos = rng.Uniform(live_at.size());
+        ASSERT_TRUE(SameChar(tree.LiveAt(pos), flat.chars_[live_at[pos]]));
+      }
+      if (rng.OneIn(3)) continue;  // the next edits run on unfrozen nodes
+
+      DocumentInfo info;
+      info.version = version;
+      info.length = tree.live_size();
+      auto snap = std::make_shared<CharListSnapshot>(info, floor,
+                                                     tree.Freeze(), nullptr);
+      std::vector<SnapChar> chain;
+      if (snap->root() != nullptr) {
+        CheckNode(*snap->root(), &chain);
+        max_height = std::max(max_height, snap->root()->height);
+      }
+      ASSERT_EQ(chain.size(), flat.chars_.size());
+      for (size_t i = 0; i < chain.size(); ++i) {
+        ASSERT_TRUE(SameChar(chain[i], flat.chars_[i])) << "at " << i;
+      }
+      const std::string text = flat.Text();
+      ASSERT_EQ(snap->Text(), text);
+      if (!live_at.empty()) {
+        size_t pos = rng.Uniform(live_at.size());
+        size_t len =
+            rng.Uniform(std::min<size_t>(live_at.size() - pos, 300) + 1);
+        std::vector<SnapChar> want;
+        for (size_t i = pos; i < pos + len; ++i) {
+          want.push_back(flat.chars_[live_at[i]]);
+        }
+        EXPECT_EQ(*snap->TextRange(pos, len), Utf8Of(want));
+        auto range = snap->LiveRange(pos, len);
+        ASSERT_TRUE(range.ok());
+        ASSERT_EQ(range->size(), len);
+        for (size_t i = 0; i < len; ++i) {
+          EXPECT_TRUE(SameChar((*range)[i], want[i]));
+        }
+        EXPECT_TRUE(SameChar(*snap->LiveAt(pos), flat.chars_[live_at[pos]]));
+      }
+      EXPECT_TRUE(snap->LiveAt(live_at.size()).status().IsOutOfRange());
+      Version past = floor + rng.Uniform(version - floor + 1);
+      EXPECT_EQ(*snap->TextAtVersion(past), flat.TextAt(past));
+      if (floor > 0) {
+        EXPECT_TRUE(
+            snap->TextAtVersion(floor - 1).status().IsFailedPrecondition());
+      }
+      if (step % 25 == 0) {
+        kept.push_back({snap, text, past, flat.TextAt(past)});
+      }
+    }
+    EXPECT_GE(max_height, 2u) << "the tree never grew past two levels";
+    for (const Kept& k : kept) {
+      EXPECT_EQ(k.snap->Text(), k.text) << "at version " << k.snap->version();
+      EXPECT_EQ(*k.snap->TextAtVersion(k.version), k.text_at_version);
+    }
+  }
+}
+
+// History independence, checked by structure rather than by timing: on a
+// chain of 200k records (a long history under a short live text), a
+// keystroke, an erase and an undo each publish a snapshot that shares
+// every node with the previous one except one leaf and its path to the
+// root, and the earlier snapshot still reads its own text.
+TEST(CharTreeTest, EditClonesOneLeafAndItsPathOnly) {
+  std::vector<SnapChar> chain(200000);
+  for (size_t i = 0; i < chain.size(); ++i) {
+    chain[i].id = i + 1;
+    chain[i].cp = 'a' + i % 26;
+    chain[i].inserted = 1;
+    chain[i].deleted = i % 2000 == 0 ? 0 : 2;  // 100 live chars
+  }
+  VersionedCharList tree;
+  tree.Rebuild(std::move(chain));
+  ASSERT_EQ(tree.live_size(), 100u);
+  std::shared_ptr<const SnapNode> before = tree.Freeze();
+  ASSERT_GE(before->height, 3u);
+  std::string before_text = TextOf(before);
+
+  auto expect_one_path = [&](const char* what) {
+    SCOPED_TRACE(what);
+    std::shared_ptr<const SnapNode> after = tree.Freeze();
+    std::set<const SnapNode*> old_nodes, new_nodes;
+    CollectNodes(before.get(), &old_nodes);
+    CollectNodes(after.get(), &new_nodes);
+    size_t fresh = 0, fresh_leaves = 0;
+    for (const SnapNode* node : new_nodes) {
+      if (old_nodes.count(node)) continue;
+      ++fresh;
+      fresh_leaves += node->height == 0;
+      // The fresh leaf is the one whose text Freeze filled.
+      if (node->height == 0) {
+        EXPECT_EQ(AsSegment(*node).text, Utf8Of(AsSegment(*node).chars));
+      }
+    }
+    EXPECT_EQ(fresh, after->height + 1u);
+    EXPECT_EQ(fresh_leaves, 1u);
+    EXPECT_EQ(TextOf(before), before_text);
+    before = after;
+    before_text = TextOf(after);
+  };
+
+  SnapChar key;
+  key.id = 300000;
+  key.cp = 'k';
+  key.inserted = 3;
+  tree.InsertRun(50, {key});
+  expect_one_path("keystroke");
+  ASSERT_EQ(tree.TombstoneRange(50, 1, 4), std::vector<uint64_t>{300000});
+  expect_one_path("erase");
+  ASSERT_EQ(tree.SetDeleted({300000}, 0), 1u);
+  expect_one_path("undo");
+  EXPECT_EQ(tree.LiveAt(50).id, 300000u);
 }
 
 // ---------- persistence across crash ----------

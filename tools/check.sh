@@ -17,8 +17,9 @@
 #                      control, deadline propagation, the editor storm
 #   5. mvcc            ctest -L mvcc on a default build — lock-free
 #                      snapshot reads, purge-floor semantics, the seeded
-#                      snapshot-consistency harness, the search index's
-#                      segment diff against a full re-index — plus the
+#                      snapshot-consistency harness, the chain tree
+#                      against its flat model, the search index's
+#                      tree diff against a full re-index — plus the
 #                      reader storm repeated 40 times, so a rare
 #                      publication race fails the stage instead of
 #                      slipping through one run
@@ -29,7 +30,7 @@
 #   8. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
 #                      publication / COW / reclamation raced against the
 #                      writer storm, checkpointer, purge, eviction and the
-#                      search index pinning segments it diffs (the storm
+#                      search index pinning trees it diffs (the storm
 #                      again repeated 40 times)
 #   9. tsan groupcommit ctest -L groupcommit under -fsanitize=thread — the
 #                      commit path's concurrency rests on the WAL's single
