@@ -40,7 +40,11 @@ struct TendaxOptions {
   /// begin/end pair, and — over the segmented WAL, in memory and on disk
   /// alike, rotating every `db.wal_segment_bytes` — deletes log segments
   /// recovery can no longer need. Editing continues throughout;
-  /// the checkpointer thread stops with the server.
+  /// the checkpointer thread stops with the server. Neither trigger is set
+  /// by default: a clean close already leaves an empty log, so a restart
+  /// replays only what a crash left, and no checkpoint I/O runs beside
+  /// keystroke commits. Between restarts the log grows with the typing;
+  /// arm the checkpointer to bound it over a long uptime.
   DatabaseOptions db;
   /// Whether documents without explicit grants are open to every user
   /// (the demo's LAN-party default) or restricted to their creator.

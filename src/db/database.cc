@@ -1,5 +1,7 @@
 #include "db/database.h"
 
+#include <algorithm>
+
 #include "db/slotted_page.h"
 #include "util/logging.h"
 
@@ -47,6 +49,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
       std::make_unique<Catalog>(db->buffer_pool_.get(), db->txn_manager_.get());
 
   TENDAX_RETURN_IF_ERROR(db->RecoverAndLoad());
+  db->clean_ = true;
 
   // The checkpointer exists even without a background trigger so
   // CheckpointNow() always has a pipeline to run; Start() is a no-op then.
@@ -67,14 +70,27 @@ Database::~Database() {
   if (checkpointer_ != nullptr) {
     checkpointer_->Stop();
   }
-  // Shutdown flushes are best-effort: there is no caller left to act on a
-  // failure, and recovery rebuilds anything that failed to reach disk.
-  if (buffer_pool_ != nullptr) {
-    (void)buffer_pool_->FlushAll();
+  if (buffer_pool_ == nullptr) return;  // Open failed before the pool
+  // A clean close leaves an empty log, so the next open has nothing to
+  // replay. A transaction still active needs its records for undo, and an
+  // open that failed or a simulated crash left pages the log must still
+  // repair; those closes only flush. Shutdown flushes are best-effort: there
+  // is no caller left to act on a failure, and recovery rebuilds anything
+  // that failed to reach disk.
+  if (clean_ && txn_manager_->ActiveCount() == 0) {
+    (void)FlushAndResetLog();
+    return;
   }
-  if (wal_ != nullptr) {
-    (void)wal_->FlushAll();
-  }
+  (void)wal_->FlushAll();
+  (void)buffer_pool_->FlushAll();
+}
+
+Status Database::FlushAndResetLog() {
+  // Log first (WAL before data), then every page, synced; only then is no
+  // record needed any more.
+  TENDAX_RETURN_IF_ERROR(wal_->FlushAll());
+  TENDAX_RETURN_IF_ERROR(buffer_pool_->FlushAll());
+  return wal_->Reset();
 }
 
 Status Database::RecoverAndLoad() {
@@ -99,8 +115,7 @@ Status Database::RecoverAndLoad() {
     recovery_stats_ = recovery.stats();
     // State is now the committed history; make it durable and restart the
     // log so replay never sees the old records again.
-    TENDAX_RETURN_IF_ERROR(buffer_pool_->FlushAll());
-    TENDAX_RETURN_IF_ERROR(wal_->Reset());
+    TENDAX_RETURN_IF_ERROR(FlushAndResetLog());
   }
 
   auto pages = DiscoverPages();
@@ -111,11 +126,13 @@ Status Database::RecoverAndLoad() {
 Result<std::unordered_map<uint32_t, std::vector<PageId>>>
 Database::DiscoverPages() {
   std::unordered_map<uint32_t, std::vector<PageId>> by_table;
+  Lsn max_page_lsn = kInvalidLsn;
   const uint32_t n = disk_->NumPages();
   for (PageId pid = 0; pid < n; ++pid) {
     auto page = buffer_pool_->FetchPage(pid);
     if (!page.ok()) return page.status();
     PageGuard guard(buffer_pool_.get(), *page);
+    max_page_lsn = std::max(max_page_lsn, guard->lsn());
     SlottedPage sp(guard.get());
     uint32_t table_id = sp.table_id();
     if (!sp.IsInitialized()) continue;       // free/unused page
@@ -124,6 +141,11 @@ Database::DiscoverPages() {
     if (table_id & 0x80000000u) continue;
     by_table[table_id].push_back(pid);
   }
+  // An emptied log restarts numbering at 1, but the pages keep their LSNs,
+  // and redo skips any record numbered at or below its page's LSN. So new
+  // records must number past every page; this also repairs a file whose
+  // log was emptied before this rule existed.
+  wal_->AdvancePast(max_page_lsn);
   return by_table;
 }
 
@@ -170,7 +192,10 @@ Status Database::Checkpoint() {
 
 Status Database::CheckpointNow() { return checkpointer_->CheckpointNow(); }
 
-void Database::SimulateCrash() { buffer_pool_->DropAllForCrashTest(); }
+void Database::SimulateCrash() {
+  clean_ = false;
+  buffer_pool_->DropAllForCrashTest();
+}
 
 Status Database::CheckIntegrity() const {
   // 1. Page level: fetching verifies the stored checksum; initialized data

@@ -63,6 +63,8 @@ struct DatabaseOptions {
 ///
 /// Opening a database automatically runs ARIES-lite recovery over any log
 /// left by a previous incarnation, then rebuilds the catalog from storage.
+/// A clean close (no transaction active) flushes and syncs every page and
+/// leaves an empty log, so the next open replays nothing.
 class Database : public ChangeApplier {
  public:
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options);
@@ -99,7 +101,8 @@ class Database : public ChangeApplier {
   Status CheckIntegrity() const;
 
   /// Drops all cached pages without flushing (crash simulation for tests;
-  /// pair with reopening via the same DiskManager/LogStorage).
+  /// pair with reopening via the same DiskManager/LogStorage). Marks the
+  /// database crashed, so the close that follows keeps the log.
   void SimulateCrash();
 
   /// ChangeApplier: routes abort-undo changes to the owning table.
@@ -124,8 +127,12 @@ class Database : public ChangeApplier {
   Database() = default;
 
   Status RecoverAndLoad();
+  /// Flushes the log, flushes and syncs every page, then empties the log:
+  /// the step after replay and the clean close.
+  Status FlushAndResetLog();
   /// Groups initialized data pages by owning table id (skips the index
-  /// pages older files leaked).
+  /// pages older files leaked), and moves LSN numbering past the highest
+  /// page LSN.
   Result<std::unordered_map<uint32_t, std::vector<PageId>>> DiscoverPages();
 
   std::shared_ptr<Clock> clock_;
@@ -144,6 +151,9 @@ class Database : public ChangeApplier {
   std::unique_ptr<Checkpointer> checkpointer_;
 
   RecoveryStats recovery_stats_;
+  // Set once Open has recovered, cleared by SimulateCrash: only a clean
+  // database may empty its log at close.
+  bool clean_ = false;
 };
 
 }  // namespace tendax

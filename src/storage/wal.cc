@@ -2,6 +2,7 @@
 
 #include "util/checksum.h"
 #include "util/coding.h"
+#include "util/logging.h"
 
 namespace tendax {
 
@@ -29,6 +30,32 @@ bool IsUpdateOp(uint8_t b) {
       return true;
   }
   return false;
+}
+
+// Calls `fn(lsn, payload)` on each frame of `input` in order, where `lsn` is
+// the payload's leading varint. Stops at a torn or checksum-corrupt frame,
+// at an LSN of 0 or one that breaks the sequence (LSNs are assigned
+// contiguously and Reset() keeps numbering, so such a frame is trash), or
+// when `fn` returns false. Returns the next LSN after the last frame
+// visited, 1 when none was.
+template <typename Fn>
+Lsn WalkFrames(Slice input, Fn fn) {
+  Lsn next = kInvalidLsn;
+  while (input.size() >= 8) {
+    const uint32_t len = DecodeFixed32(input.data());
+    const uint32_t crc = DecodeFixed32(input.data() + 4);
+    if (input.size() - 8 < len) break;  // torn tail
+    Slice payload(input.data() + 8, len);
+    if (Fnv1a32(payload.data(), payload.size()) != crc) break;  // corrupt
+    Slice head = payload;
+    uint64_t lsn;
+    if (!GetVarint64(&head, &lsn) || lsn == kInvalidLsn) break;
+    if (next != kInvalidLsn && lsn != next) break;
+    if (!fn(lsn, payload)) break;
+    next = lsn + 1;
+    input.remove_prefix(8 + len);
+  }
+  return next == kInvalidLsn ? 1 : next;
 }
 
 }  // namespace
@@ -138,10 +165,11 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, MetricsRegistry* metrics,
     m_commit_flush_micros_ = metrics->histogram("wal.commit_flush_micros");
   }
   // Continue LSN numbering after any records already in the log. The
-  // per-segment read rebuilds both the LSN cursor and the segment spans the
-  // truncation logic needs. Only the last segment may carry a torn tail
-  // (appends never touch sealed segments), so a decode that stops early in
-  // an earlier segment marks everything after it untrustworthy.
+  // per-segment frame walk rebuilds both the LSN cursor and the segment
+  // spans the truncation logic needs; only recovery decodes records. Only
+  // the last segment may carry a torn tail (appends never touch sealed
+  // segments), so a segment that breaks the sequence marks itself and
+  // everything after it untrustworthy.
   Lsn next = 1;
   {
     MutexLock lock(mu_);
@@ -149,23 +177,27 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, MetricsRegistry* metrics,
     for (uint64_t id : storage_->SegmentIds()) {
       SegmentSpan span;
       std::string part;
-      std::vector<LogRecord> records;
+      Lsn first = kInvalidLsn;
+      Lsn end = 1;
       if (trusted && storage_->ReadSegment(id, &part).ok()) {
-        DecodeLogBuffer(part, &records);
+        end = WalkFrames(Slice(part), [&](Lsn lsn, Slice) {
+          if (first == kInvalidLsn) first = lsn;
+          return true;
+        });
       } else {
         trusted = false;
       }
-      if (!records.empty()) {
-        if (next != 1 && records.front().lsn != next) {
+      if (first != kInvalidLsn) {
+        if (next != 1 && first != next) {
           // Discontiguous across the segment boundary: treat this segment
           // and everything after it as trash (span unknown => retained).
           trusted = false;
           segment_spans_[id] = SegmentSpan{};
           continue;
         }
-        span.first = records.front().lsn;
-        span.last = records.back().lsn;
-        next = records.back().lsn + 1;
+        span.first = first;
+        span.last = end - 1;
+        next = end;
       } else if (trusted) {
         // A sealed-empty segment: holds no records, safe to truncate once
         // anything newer is truncatable.
@@ -296,6 +328,18 @@ Status Wal::Reset() {
   return Status::OK();
 }
 
+void Wal::AdvancePast(Lsn lsn) {
+  MutexLock lock(mu_);
+  TENDAX_CHECK(pending_.empty());
+  if (lsn < next_lsn_) return;
+  // The current segment holds no record numbered past flushed_lsn_, so an
+  // open span that starts at the old cursor starts at the new one.
+  SegmentSpan& current = segment_spans_[storage_->current_segment()];
+  if (current.first == next_lsn_) current.first = lsn + 1;
+  next_lsn_ = lsn + 1;
+  flushed_lsn_ = lsn;
+}
+
 size_t Wal::SegmentCount() const {
   MutexLock lock(mu_);
   return segment_spans_.size();
@@ -357,27 +401,12 @@ Result<uint64_t> Wal::TruncateSegmentsBelow(Lsn bound) {
 
 Lsn Wal::DecodeLogBuffer(const std::string& buffer,
                          std::vector<LogRecord>* out) {
-  Slice input(buffer);
-  Lsn next = 1;
-  bool first = true;
-  while (input.size() >= 8) {
-    uint32_t len = DecodeFixed32(input.data());
-    uint32_t crc = DecodeFixed32(input.data() + 4);
-    if (input.size() < 8 + static_cast<size_t>(len)) break;  // torn tail
-    Slice payload(input.data() + 8, len);
-    if (Fnv1a32(payload.data(), payload.size()) != crc) break;  // corrupt tail
+  return WalkFrames(Slice(buffer), [out](Lsn, Slice payload) {
     LogRecord rec;
-    if (!LogRecord::DecodeFrom(payload, &rec)) break;
-    // LSNs are assigned contiguously (Reset() truncates bytes but keeps
-    // numbering), so a record that passes framing yet breaks the sequence
-    // is trash — stop rather than hand recovery an out-of-order history.
-    if (rec.lsn == kInvalidLsn || (!first && rec.lsn != next)) break;
-    first = false;
-    next = rec.lsn + 1;
+    if (!LogRecord::DecodeFrom(payload, &rec)) return false;
     out->push_back(std::move(rec));
-    input.remove_prefix(8 + len);
-  }
-  return next;
+    return true;
+  });
 }
 
 }  // namespace tendax

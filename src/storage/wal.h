@@ -141,7 +141,8 @@ class Wal {
   /// outlive the Wal. Once the current segment exceeds `segment_bytes`,
   /// the next successful flush rotates to a new segment (0 disables
   /// size-based rotation; checkpoints still rotate explicitly via
-  /// RotateSegmentNow).
+  /// RotateSegmentNow). Construction walks the frames already in storage
+  /// to rebuild the LSN cursor and segment spans; it decodes no record.
   explicit Wal(std::shared_ptr<LogStorage> storage,
                MetricsRegistry* metrics = nullptr,
                uint64_t segment_bytes = 0);
@@ -171,9 +172,16 @@ class Wal {
   Status ReadAll(std::vector<LogRecord>* out) TENDAX_EXCLUDES(mu_);
 
   /// Discards the entire log and continues LSN numbering in a fresh
-  /// segment. Only valid once nothing in the log is needed any more — the
-  /// restart after recovery has flushed every replayed page.
+  /// segment. Only valid once nothing in the log is needed any more: every
+  /// page it covers is flushed and synced, after recovery or at a clean
+  /// close.
   Status Reset() TENDAX_EXCLUDES(mu_);
+
+  /// Moves LSN numbering past `lsn`, so every record appended from now on
+  /// sorts after it; a no-op when numbering is already past. Open calls it
+  /// with the highest page LSN, since an emptied log restarts numbering at
+  /// 1 while the pages keep theirs. Requires nothing buffered.
+  void AdvancePast(Lsn lsn) TENDAX_EXCLUDES(mu_);
 
   LogStorage* storage() { return storage_.get(); }
 
@@ -181,6 +189,8 @@ class Wal {
   /// a Wal instance; used by recovery. Returns the next LSN to issue.
   /// Stops at the first torn, checksum-corrupt, undecodable, or
   /// LSN-discontiguous record, so a crash tail is always dropped cleanly.
+  /// This is the only place a whole log is decoded; opening a Wal reads
+  /// just the frames.
   static Lsn DecodeLogBuffer(const std::string& buffer,
                              std::vector<LogRecord>* out);
 

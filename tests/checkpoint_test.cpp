@@ -10,6 +10,10 @@
 //  - ScheduleController interleavings (commit lands mid-checkpoint)
 //  - the tentpole crash sweep: power loss at EVERY storage I/O point inside
 //    a fuzzy checkpoint, recovered state checked against a shadow model
+//  - the clean close: it leaves an empty log, so a reopen replays nothing;
+//    power loss at every I/O of the close, or midway through the log
+//    truncate on disk, still recovers; a close with a transaction active
+//    keeps the log; LSNs continue past the pages over an empty log
 //
 // Scale knobs (bounded defaults for tier-1):
 //   TENDAX_CHECKPOINT_SEED   workload + fault seed   (default 7)
@@ -21,7 +25,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -754,7 +760,8 @@ SweepOutcome RunCheckpointWorkload(
     const std::shared_ptr<DiskManager>& disk,
     const std::shared_ptr<LogStorage>& log,
     const std::shared_ptr<FaultPlan>& plan, uint64_t seed, size_t num_ops,
-    const std::shared_ptr<CheckpointHooks>& hooks = nullptr) {
+    const std::shared_ptr<CheckpointHooks>& hooks = nullptr,
+    const std::function<void(TendaxServer*)>& before_close = nullptr) {
   SweepOutcome out;
   TendaxOptions options;
   options.db.disk = std::make_shared<FaultInjectingDiskManager>(disk, plan);
@@ -797,6 +804,7 @@ SweepOutcome RunCheckpointWorkload(
     }
   }
   out.committed = shadow;
+  if (before_close) before_close(server->get());
   return out;
 }
 
@@ -804,8 +812,8 @@ SweepOutcome RunCheckpointWorkload(
 // against the shadow model. Mirrors crash_recovery_test's verifier.
 void VerifySweepRecovered(const std::shared_ptr<DiskManager>& disk,
                           const std::shared_ptr<LogStorage>& log,
-                          const SweepOutcome& run,
-                          const std::string& context) {
+                          const SweepOutcome& run, const std::string& context,
+                          size_t* records_scanned = nullptr) {
   TendaxOptions options;
   options.db.disk = disk;
   options.db.log_storage = log;
@@ -815,6 +823,9 @@ void VerifySweepRecovered(const std::shared_ptr<DiskManager>& disk,
   auto server = TendaxServer::Open(std::move(options));
   ASSERT_TRUE(server.ok())
       << context << ": reopen failed: " << server.status().ToString();
+  if (records_scanned != nullptr) {
+    *records_scanned = (*server)->db()->recovery_stats().records_scanned;
+  }
   Status integrity = (*server)->CheckIntegrity();
   ASSERT_TRUE(integrity.ok())
       << context << ": integrity check failed: " << integrity.ToString();
@@ -884,6 +895,319 @@ TEST(CheckpointCrashSweepTest, EveryFaultPointDuringCheckpointRecovers) {
     }
   }
   EXPECT_GE(points, 20u) << "sweep covered suspiciously few I/O points";
+}
+
+// ---------- The clean close ----------
+
+// Number of records a log storage holds, decoded the way recovery does.
+size_t LogRecordCount(LogStorage* log) {
+  std::string raw;
+  EXPECT_TRUE(log->ReadAll(&raw).ok());
+  std::vector<LogRecord> records;
+  Wal::DecodeLogBuffer(raw, &records);
+  return records.size();
+}
+
+// The I/O kind a FaultPlan's crash triggered at, e.g. "WritePage".
+std::string TriggeredKind(const std::string& description) {
+  const std::string key = "triggered=";
+  size_t at = description.find(key);
+  if (at == std::string::npos) return "";
+  at += key.size();
+  return description.substr(at, description.find('@', at) - at);
+}
+
+// Runs generated typing actions against `doc`, mirroring them in `shadow`.
+void TypeActions(TendaxServer* server, UserId user, DocumentId doc,
+                 TypingTraceGenerator* gen, size_t n, std::string* shadow) {
+  for (size_t i = 0; i < n; ++i) {
+    TypingAction a = gen->Next(shadow->size());
+    Status st = a.kind == TypingAction::Kind::kInsert
+                    ? server->text()->InsertText(user, doc, a.pos, a.text)
+                          .status()
+                    : server->text()->DeleteRange(user, doc, a.pos, a.len)
+                          .status();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    *shadow = ApplyToShadow(*shadow, a);
+  }
+}
+
+Result<std::unique_ptr<TendaxServer>> OpenShared(
+    const std::shared_ptr<DiskManager>& disk,
+    const std::shared_ptr<LogStorage>& log) {
+  TendaxOptions options;
+  options.db.disk = disk;
+  options.db.log_storage = log;
+  options.db.buffer_pool_pages = kSweepPoolPages;
+  return TendaxServer::Open(std::move(options));
+}
+
+// The server-level form of RecoveryTest.LsnsContinueAcrossReopenOfEmptyLog:
+// a session that opens an empty log types, crashes, and must lose nothing.
+TEST(CleanCloseTest, TypingAfterReopenOfEmptyLogSurvivesCrash) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  TypingTraceGenerator gen(EnvU64("TENDAX_CHECKPOINT_SEED", 7));
+  std::string shadow;
+  UserId user;
+  DocumentId doc;
+  {
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto u = (*server)->accounts()->CreateUser("typist");
+    ASSERT_TRUE(u.ok());
+    user = *u;
+    auto d = (*server)->text()->CreateDocument(user, kSweepDocName);
+    ASSERT_TRUE(d.ok());
+    doc = *d;
+    TypeActions(server->get(), user, doc, &gen, 40, &shadow);
+  }
+  // A session with no edits: whatever the first close left, the next open
+  // finds the log empty.
+  { ASSERT_TRUE(OpenShared(disk, log).ok()); }
+  for (int session = 0; session < 2; ++session) {
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_EQ((*server)->db()->recovery_stats().records_scanned, 0u);
+    TypeActions(server->get(), user, doc, &gen, 40, &shadow);
+    if (session == 1) (*server)->db()->SimulateCrash();
+  }
+  auto server = OpenShared(disk, log);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_GT((*server)->db()->recovery_stats().records_scanned, 0u)
+      << "a crash must leave its log to replay";
+  auto text = (*server)->text()->Text(doc);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text, shadow) << "committed typing was lost in the crash";
+  Status integrity = (*server)->CheckIntegrity();
+  EXPECT_TRUE(integrity.ok()) << integrity.ToString();
+}
+
+// Reopen work after a clean close does not grow with the history: a
+// structural count instead of a timing. 5k or 50k keystrokes, the close
+// leaves no record and the reopen scans none; a crash still replays.
+TEST(CleanCloseTest, ReopenAfterCleanCloseScansNoRecords) {
+  for (size_t keystrokes : {size_t{5000}, size_t{50000}}) {
+    auto disk = std::make_shared<InMemoryDiskManager>();
+    auto log = std::make_shared<InMemoryLogStorage>();
+    UserId user;
+    DocumentId doc;
+    {
+      auto server = OpenShared(disk, log);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      auto u = (*server)->accounts()->CreateUser("typist");
+      ASSERT_TRUE(u.ok());
+      user = *u;
+      auto d = (*server)->text()->CreateDocument(user, "history.txt");
+      ASSERT_TRUE(d.ok());
+      doc = *d;
+      for (size_t i = 0; i < keystrokes; ++i) {
+        ASSERT_TRUE((*server)->text()->InsertText(user, doc, i, "k").ok());
+      }
+      EXPECT_GE(LogRecordCount(log.get()), keystrokes)
+          << "the history must be in the log before the close";
+    }
+    EXPECT_EQ(LogRecordCount(log.get()), 0u)
+        << keystrokes << " keystrokes: the clean close left records";
+    {
+      auto server = OpenShared(disk, log);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      EXPECT_EQ((*server)->db()->recovery_stats().records_scanned, 0u)
+          << keystrokes << " keystrokes";
+      EXPECT_EQ(*(*server)->text()->Length(doc), keystrokes);
+      for (size_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE((*server)->text()->InsertText(user, doc, 0, "c").ok());
+      }
+      (*server)->db()->SimulateCrash();
+    }
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_GT((*server)->db()->recovery_stats().records_scanned, 0u)
+        << keystrokes << " keystrokes: the crash left nothing to replay";
+    EXPECT_EQ(*(*server)->text()->Length(doc), keystrokes + 10);
+  }
+}
+
+// Power loss at every I/O the close issues: the log flush (an aborted
+// transaction's records are still buffered, since an abort does not
+// flush), each page write, the data sync, and the log truncate. Each cut
+// leaves the log whole, so the reopen replays it, and the text must match
+// the shadow model.
+TEST(CleanCloseCrashSweepTest, EveryIoOfTheCloseRecovers) {
+  const uint64_t seed = EnvU64("TENDAX_CHECKPOINT_SEED", 7);
+  const size_t num_ops =
+      static_cast<size_t>(EnvU64("TENDAX_CHECKPOINT_OPS", 70));
+  auto before_close = [](FaultPlan* plan, uint64_t* first_close_op) {
+    return [plan, first_close_op](TendaxServer* server) {
+      Database* db = server->db();
+      auto table = db->EnsureTable("close_sweep", TestSchema());
+      if (table.ok()) {
+        Transaction* txn = db->txns()->Begin(UserId(1));
+        (void)(*table)->Insert(
+            txn, Record({uint64_t{1}, std::string("rolled back"), 0.0, false}));
+        (void)db->txns()->Abort(txn);
+      }
+      *first_close_op = plan->ops_seen() + 1;
+    };
+  };
+
+  uint64_t first_op = 0;
+  uint64_t last_op = 0;
+  {
+    auto disk = std::make_shared<InMemoryDiskManager>();
+    auto log = std::make_shared<InMemoryLogStorage>();
+    auto plan = std::make_shared<FaultPlan>(seed);
+    SweepOutcome probe =
+        RunCheckpointWorkload(disk, log, plan, seed, num_ops, nullptr,
+                              before_close(plan.get(), &first_op));
+    last_op = plan->ops_seen();
+    ASSERT_TRUE(probe.setup_ok);
+    ASSERT_FALSE(probe.has_ambiguous) << "fault-free run must not fail";
+    EXPECT_EQ(LogRecordCount(log.get()), 0u)
+        << "a clean close must leave no record to replay";
+    size_t scanned = 1;
+    VerifySweepRecovered(disk, log, probe, "fault-free close", &scanned);
+    EXPECT_EQ(scanned, 0u);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+  }
+  ASSERT_LT(first_op, last_op) << "the close issued no I/O";
+
+  std::set<std::string> kinds;
+  for (uint64_t k = first_op; k <= last_op; ++k) {
+    auto disk = std::make_shared<InMemoryDiskManager>();
+    auto log = std::make_shared<InMemoryLogStorage>();
+    auto plan = std::make_shared<FaultPlan>(seed);
+    plan->CrashAtOp(k);
+    uint64_t ignored = 0;
+    SweepOutcome run =
+        RunCheckpointWorkload(disk, log, plan, seed, num_ops, nullptr,
+                              before_close(plan.get(), &ignored));
+    std::string context = "close crash@" + std::to_string(k) + " " +
+                          plan->Describe() +
+                          " workload_seed=" + std::to_string(seed);
+    ASSERT_TRUE(plan->crashed()) << context;
+    ASSERT_FALSE(run.has_ambiguous) << context << ": crashed before the close";
+    kinds.insert(TriggeredKind(plan->Describe()));
+    size_t scanned = 0;
+    VerifySweepRecovered(disk, log, run, context, &scanned);
+    EXPECT_GT(scanned, 0u) << context << ": a close cut short lost its log";
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "first divergence at " << context;
+    }
+  }
+  for (const char* kind :
+       {"LogAppend", "LogSync", "WritePage", "DiskSync", "LogTruncate"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << "no crash landed on a " << kind;
+  }
+}
+
+// On disk the log truncate is several I/Os: it unlinks the segments oldest
+// first, then creates the next one and syncs the directory. Power loss
+// between them leaves a suffix of the old segments, or none at all. The
+// pages were flushed and synced first, so every such state reopens to the
+// committed text, and typing after it survives a crash.
+TEST(CleanCloseTest, CloseCutShortInsideTheTruncateReopens) {
+  namespace fs = std::filesystem;
+  const fs::path dir = ::testing::TempDir() + "tendax_close_truncate";
+  const fs::path live = dir / "live";
+  const fs::path snapshot = dir / "snapshot";
+  fs::remove_all(dir);
+  fs::create_directories(live);
+  fs::create_directories(snapshot);
+  auto open = [&] {
+    TendaxOptions options;
+    options.db.path = (live / "db").string();
+    options.db.wal_segment_bytes = 4096;
+    return TendaxServer::Open(std::move(options));
+  };
+  auto copy_files = [](const fs::path& from, const fs::path& to) {
+    for (const auto& entry : fs::directory_iterator(from)) {
+      fs::copy_file(entry.path(), to / entry.path().filename(),
+                    fs::copy_options::overwrite_existing);
+    }
+  };
+
+  TypingTraceGenerator gen(EnvU64("TENDAX_CHECKPOINT_SEED", 7));
+  std::string shadow;
+  UserId user;
+  DocumentId doc;
+  {
+    auto server = open();
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto u = (*server)->accounts()->CreateUser("typist");
+    ASSERT_TRUE(u.ok());
+    user = *u;
+    auto d = (*server)->text()->CreateDocument(user, kSweepDocName);
+    ASSERT_TRUE(d.ok());
+    doc = *d;
+    TypeActions(server->get(), user, doc, &gen, 60, &shadow);
+    // The state the close reaches just before its truncate.
+    Database* db = (*server)->db();
+    ASSERT_TRUE(db->wal()->FlushAll().ok());
+    ASSERT_TRUE(db->buffer_pool()->FlushAll().ok());
+    copy_files(live, snapshot);
+  }
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(snapshot)) {
+    if (entry.path().filename() != "db") segments.push_back(entry.path());
+  }
+  std::sort(segments.begin(), segments.end());
+  ASSERT_GE(segments.size(), 3u) << "the log must span several segments";
+
+  for (size_t unlinked = 0; unlinked <= segments.size(); ++unlinked) {
+    const std::string context =
+        std::to_string(unlinked) + " of " + std::to_string(segments.size()) +
+        " segments unlinked";
+    fs::remove_all(live);
+    fs::create_directories(live);
+    copy_files(snapshot, live);
+    for (size_t i = 0; i < unlinked; ++i) {
+      fs::remove(live / segments[i].filename());
+    }
+    {
+      auto server = open();
+      ASSERT_TRUE(server.ok()) << context << ": " << server.status().ToString();
+      Status integrity = (*server)->CheckIntegrity();
+      ASSERT_TRUE(integrity.ok()) << context << ": " << integrity.ToString();
+      auto text = (*server)->text()->Text(doc);
+      ASSERT_TRUE(text.ok()) << context << ": " << text.status().ToString();
+      EXPECT_EQ(*text, shadow) << context;
+      ASSERT_TRUE(
+          (*server)->text()->InsertText(user, doc, 0, "after").ok());
+      (*server)->db()->SimulateCrash();
+    }
+    auto server = open();
+    ASSERT_TRUE(server.ok()) << context << ": " << server.status().ToString();
+    auto text = (*server)->text()->Text(doc);
+    ASSERT_TRUE(text.ok()) << context << ": " << text.status().ToString();
+    EXPECT_EQ(*text, "after" + shadow)
+        << context << ": typing after the reopen was lost in a crash";
+  }
+  fs::remove_all(dir);
+}
+
+// A close with a transaction still active keeps the log: the loser's
+// records are needed to undo its writes, which the close flushed.
+TEST_F(CheckpointDbTest, CloseWithActiveTxnKeepsLogAndUndoesLoser) {
+  auto t = db_->CreateTable("docs", TestSchema());
+  ASSERT_TRUE(t.ok());
+  InsertRows(*t, 0, 20);
+  Transaction* loser = db_->txns()->Begin(UserId(9));
+  ASSERT_TRUE(
+      (*t)->Insert(loser, Record({uint64_t{999}, std::string("lost"), 0.0,
+                                  false}))
+          .ok());
+  db_.reset();
+  EXPECT_GT(LogRecordCount(log_.get()), 0u) << "the close emptied the log";
+
+  OpenDb();
+  const RecoveryStats& stats = db_->recovery_stats();
+  EXPECT_EQ(stats.losers, 1u);
+  EXPECT_GE(stats.undo_applied, 1u);
+  auto table = db_->GetTable("docs");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(*(*table)->Count(), 20u) << "the loser's row must be undone";
+  EXPECT_TRUE(db_->CheckIntegrity().ok());
 }
 
 }  // namespace
