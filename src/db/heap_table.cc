@@ -1,6 +1,8 @@
 #include "db/heap_table.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "util/logging.h"
 
@@ -63,32 +65,40 @@ Result<RecordId> HeapTable::InsertBytes(Transaction* txn,
 }
 
 Result<Record> HeapTable::Get(RecordId rid) const {
-  auto bytes = GetBytes(rid);
-  if (!bytes.ok()) return bytes.status();
-  return Record::Decode(*bytes);
+  std::string bytes;
+  TENDAX_RETURN_IF_ERROR(ReadBytes(rid, &bytes));
+  return Record::Decode(bytes);
 }
 
-Result<std::string> HeapTable::GetBytes(RecordId rid) const {
-  auto page = pool_->FetchPage(rid.page);
-  if (!page.ok()) return page.status();
-  PageGuard guard(pool_, *page);
-  MutexLock latch(guard->latch());
-  SlottedPage sp(guard.get());
-  if (sp.table_id() != table_id_) {
+Status HeapTable::ReadBytes(RecordId rid, std::string* out) const {
+  return Cursor(this).Read(rid, out);
+}
+
+Status HeapTable::Cursor::Read(RecordId rid, std::string* out) {
+  if (!page_ || page_->id() != rid.page) {
+    page_.Release();
+    auto page = table_->pool_->FetchPage(rid.page);
+    if (!page.ok()) return page.status();
+    page_ = PageGuard(table_->pool_, *page);
+  }
+  MutexLock latch(page_->latch());
+  SlottedPage sp(page_.get());
+  if (sp.table_id() != table_->table_id_) {
     return Status::NotFound("rid " + rid.ToString() +
-                            " does not belong to table " + name_);
+                            " does not belong to table " + table_->name_);
   }
   auto data = sp.Get(rid.slot);
   if (!data.ok()) return data.status();
-  return data->ToString();
+  out->assign(data->data(), data->size());
+  return Status::OK();
 }
 
 Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
                                    const Record& record) {
   TENDAX_RETURN_IF_ERROR(record.ConformsTo(schema_));
   std::string after = record.Encode();
-  auto before = GetBytes(rid);
-  if (!before.ok()) return before.status();
+  std::string before;
+  TENDAX_RETURN_IF_ERROR(ReadBytes(rid, &before));
 
   auto page = pool_->FetchPage(rid.page);
   if (!page.ok()) return page.status();
@@ -99,7 +109,7 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
     Status st = sp.Update(rid.slot, after);
     if (st.ok()) {
       auto lsn = txns_->LogUpdate(txn, UpdateOp::kUpdate, table_id_,
-                                  rid.Pack(), *before, after);
+                                  rid.Pack(), std::move(before), after);
       if (!lsn.ok()) return lsn.status();
       if (*lsn != kInvalidLsn) guard->set_lsn(*lsn);
       guard.MarkDirty();
@@ -110,7 +120,7 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
     // Record no longer fits in its page: SlottedPage::Update already freed
     // the slot, so log the move as delete + insert elsewhere.
     auto del_lsn = txns_->LogUpdate(txn, UpdateOp::kDelete, table_id_,
-                                    rid.Pack(), *before, "");
+                                    rid.Pack(), std::move(before), "");
     if (!del_lsn.ok()) return del_lsn.status();
     if (*del_lsn != kInvalidLsn) guard->set_lsn(*del_lsn);
     guard.MarkDirty();
@@ -119,8 +129,8 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
 }
 
 Status HeapTable::Delete(Transaction* txn, RecordId rid) {
-  auto before = GetBytes(rid);
-  if (!before.ok()) return before.status();
+  std::string before;
+  TENDAX_RETURN_IF_ERROR(ReadBytes(rid, &before));
   auto page = pool_->FetchPage(rid.page);
   if (!page.ok()) return page.status();
   PageGuard guard(pool_, *page);
@@ -128,7 +138,7 @@ Status HeapTable::Delete(Transaction* txn, RecordId rid) {
   SlottedPage sp(guard.get());
   TENDAX_RETURN_IF_ERROR(sp.Delete(rid.slot));
   auto lsn = txns_->LogUpdate(txn, UpdateOp::kDelete, table_id_, rid.Pack(),
-                              *before, "");
+                              std::move(before), "");
   if (!lsn.ok()) return lsn.status();
   if (*lsn != kInvalidLsn) guard->set_lsn(*lsn);
   guard.MarkDirty();
@@ -137,33 +147,43 @@ Status HeapTable::Delete(Transaction* txn, RecordId rid) {
 
 Status HeapTable::Scan(
     const std::function<bool(RecordId, const Record&)>& fn) const {
+  Status decoded = Status::OK();
+  TENDAX_RETURN_IF_ERROR(ScanBytes([&](RecordId rid, Slice bytes) {
+    auto record = Record::Decode(bytes);
+    if (!record.ok()) {
+      decoded = record.status();
+      return false;
+    }
+    return fn(rid, *record);
+  }));
+  return decoded;
+}
+
+Status HeapTable::ScanBytes(
+    const std::function<bool(RecordId, Slice)>& fn) const {
   std::vector<PageId> pages;
   {
     MutexLock lock(mu_);
     pages = pages_;
   }
+  // One private copy per page: the latch is held for a memcpy only, and
+  // the walk below reads the copy.
+  auto copy = std::make_unique<Page>();
   for (PageId pid : pages) {
-    auto page = pool_->FetchPage(pid);
-    if (!page.ok()) return page.status();
-    PageGuard guard(pool_, *page);
-    // Decode under the latch, but run the callback outside it so callbacks
-    // may touch other pages of this table.
-    std::vector<std::pair<RecordId, Record>> rows;
     {
+      auto page = pool_->FetchPage(pid);
+      if (!page.ok()) return page.status();
+      PageGuard guard(pool_, *page);
       MutexLock latch(guard->latch());
-      SlottedPage sp(guard.get());
-      if (!sp.IsInitialized()) continue;
-      for (SlotId s = 0; s < sp.num_slots(); ++s) {
-        if (!sp.IsLive(s)) continue;
-        auto data = sp.Get(s);
-        if (!data.ok()) return data.status();
-        auto record = Record::Decode(*data);
-        if (!record.ok()) return record.status();
-        rows.emplace_back(RecordId{pid, s}, std::move(*record));
-      }
+      memcpy(copy->data(), guard->data(), kPageSize);
     }
-    for (auto& [rid, record] : rows) {
-      if (!fn(rid, record)) return Status::OK();
+    SlottedPage sp(copy.get());
+    if (!sp.IsInitialized()) continue;
+    for (SlotId s = 0; s < sp.num_slots(); ++s) {
+      if (!sp.IsLive(s)) continue;
+      auto data = sp.Get(s);
+      if (!data.ok()) return data.status();
+      if (!fn(RecordId{pid, s}, *data)) return Status::OK();
     }
   }
   return Status::OK();

@@ -40,6 +40,22 @@ class HeapTable {
   /// Reads a record.
   Result<Record> Get(RecordId rid) const;
 
+  /// Reads records' encoded bytes, for a walk over many records that
+  /// decodes them with a `RecordReader` and builds no `Record`. Keeps the
+  /// last record's page pinned, so records that share a page fetch it
+  /// once; each read still takes the page latch. One thread's; holds one
+  /// pin until destroyed.
+  class Cursor {
+   public:
+    explicit Cursor(const HeapTable* table) : table_(table) {}
+    /// Copies the record's bytes into `*out`, reusing its capacity.
+    Status Read(RecordId rid, std::string* out);
+
+   private:
+    const HeapTable* const table_;
+    PageGuard page_;
+  };
+
   /// Replaces a record. If the new version no longer fits in its page the
   /// record moves; the (possibly new) rid is returned and the move is logged
   /// as delete+insert.
@@ -52,6 +68,13 @@ class HeapTable {
   /// callback to stop early.
   Status Scan(
       const std::function<bool(RecordId, const Record&)>& fn) const;
+
+  /// Scan without the decode: visits every live record's encoded bytes,
+  /// which stay valid only during the call. Each page is copied under its
+  /// latch and walked after the latch drops, so the callback may touch
+  /// other pages of this table. A projection (say, one column of every
+  /// row) reads the bytes with a `RecordReader`.
+  Status ScanBytes(const std::function<bool(RecordId, Slice)>& fn) const;
 
   /// Number of live records (O(pages)).
   Result<uint64_t> Count() const;
@@ -72,7 +95,8 @@ class HeapTable {
   std::vector<PageId> pages() const TENDAX_EXCLUDES(mu_);
 
  private:
-  Result<std::string> GetBytes(RecordId rid) const;
+  /// A one-record Cursor read.
+  Status ReadBytes(RecordId rid, std::string* out) const;
   /// Finds (or allocates) a page with room for `need` bytes. Returns it
   /// pinned via the guard. Takes page latches while holding mu_ — the
   /// reverse order is never used (InsertBytes drops the latch first).

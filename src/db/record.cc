@@ -1,5 +1,6 @@
 #include "db/record.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/coding.h"
@@ -7,16 +8,6 @@
 namespace tendax {
 
 namespace {
-
-// Type tags in the wire format.
-enum : uint8_t {
-  kTagNull = 0,
-  kTagUint64 = 1,
-  kTagInt64 = 2,
-  kTagBool = 3,
-  kTagDouble = 4,
-  kTagString = 5,
-};
 
 uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -77,62 +68,104 @@ std::string Record::Encode() const {
 }
 
 Result<Record> Record::Decode(Slice input) {
-  uint32_t n;
-  if (!GetVarint32(&input, &n)) {
-    return Status::Corruption("record: bad arity");
-  }
+  RecordReader reader(input);
+  if (!reader.status().ok()) return reader.status();
   std::vector<Value> values;
-  values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (input.empty()) return Status::Corruption("record: truncated");
-    uint8_t tag = static_cast<uint8_t>(input[0]);
-    input.remove_prefix(1);
-    switch (tag) {
-      case kTagNull:
-        values.emplace_back(std::monostate{});
-        break;
-      case kTagUint64: {
-        uint64_t u;
-        if (!GetVarint64(&input, &u))
-          return Status::Corruption("record: bad uint64");
-        values.emplace_back(u);
-        break;
-      }
-      case kTagInt64: {
-        uint64_t u;
-        if (!GetVarint64(&input, &u))
-          return Status::Corruption("record: bad int64");
-        values.emplace_back(ZigZagDecode(u));
-        break;
-      }
-      case kTagBool: {
-        if (input.empty()) return Status::Corruption("record: bad bool");
-        values.emplace_back(input[0] != 0);
-        input.remove_prefix(1);
-        break;
-      }
-      case kTagDouble: {
-        uint64_t bits;
-        if (!GetFixed64(&input, &bits))
-          return Status::Corruption("record: bad double");
-        double d;
-        memcpy(&d, &bits, sizeof(d));
-        values.emplace_back(d);
-        break;
-      }
-      case kTagString: {
-        Slice s;
-        if (!GetLengthPrefixed(&input, &s))
-          return Status::Corruption("record: bad string");
-        values.emplace_back(s.ToString());
-        break;
-      }
-      default:
-        return Status::Corruption("record: unknown value tag " +
-                                  std::to_string(tag));
-    }
+  // Every value takes at least one byte, so a corrupt arity cannot make
+  // the reservation outgrow the input.
+  values.reserve(std::min<size_t>(reader.arity(), input.size()));
+  for (uint32_t i = 0; i < reader.arity(); ++i) {
+    if (!reader.Next(&values.emplace_back())) return reader.status();
   }
   return Record(std::move(values));
+}
+
+RecordReader::RecordReader(Slice input) : input_(input) {
+  if (!GetVarint32(&input_, &arity_)) {
+    arity_ = 0;
+    Fail("record: bad arity");
+  }
+}
+
+bool RecordReader::Fail(const std::string& why) {
+  if (status_.ok()) status_ = Status::Corruption(why);
+  read_ = arity_;  // every later call fails too
+  return false;
+}
+
+bool RecordReader::PastTheEnd() {
+  if (!status_.ok()) return false;
+  return Fail(read_ >= arity_ ? "record: read past the last value"
+                              : "record: truncated");
+}
+
+bool RecordReader::WrongType(uint8_t tag, const char* want) {
+  return Fail("record: value " + std::to_string(read_ - 1) + " is not a " +
+              want + " (tag " + std::to_string(tag) + ")");
+}
+
+bool RecordReader::Next(Value* value) {
+  uint8_t tag = 0;
+  return NextTag(&tag) && Payload(tag, value);
+}
+
+bool RecordReader::Skip() {
+  uint8_t tag = 0;
+  return NextTag(&tag) && Payload(tag, nullptr);
+}
+
+bool RecordReader::NextString(Slice* value) {
+  uint8_t tag = 0;
+  if (!NextTag(&tag)) return false;
+  if (tag != kTagString) return WrongType(tag, "string");
+  return GetLengthPrefixed(&input_, value) || Fail("record: bad string");
+}
+
+bool RecordReader::Payload(uint8_t tag, Value* value) {
+  switch (tag) {
+    case kTagNull:
+      if (value != nullptr) *value = std::monostate{};
+      return true;
+    case kTagUint64:
+    case kTagInt64: {
+      uint64_t u;
+      if (!GetVarint64(&input_, &u)) {
+        return Fail(tag == kTagUint64 ? "record: bad uint64"
+                                      : "record: bad int64");
+      }
+      if (value != nullptr) {
+        if (tag == kTagUint64) {
+          *value = u;
+        } else {
+          *value = ZigZagDecode(u);
+        }
+      }
+      return true;
+    }
+    case kTagBool:
+      if (input_.empty()) return Fail("record: bad bool");
+      if (value != nullptr) *value = input_[0] != 0;
+      input_.remove_prefix(1);
+      return true;
+    case kTagDouble: {
+      uint64_t bits;
+      if (!GetFixed64(&input_, &bits)) return Fail("record: bad double");
+      if (value != nullptr) {
+        double d;
+        memcpy(&d, &bits, sizeof(d));
+        *value = d;
+      }
+      return true;
+    }
+    case kTagString: {
+      Slice s;
+      if (!GetLengthPrefixed(&input_, &s)) return Fail("record: bad string");
+      if (value != nullptr) *value = s.ToString();
+      return true;
+    }
+    default:
+      return Fail("record: unknown value tag " + std::to_string(tag));
+  }
 }
 
 Status Record::ConformsTo(const Schema& schema) const {

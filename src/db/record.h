@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "db/schema.h"
+#include "util/coding.h"
 #include "util/result.h"
 #include "util/slice.h"
 
@@ -55,6 +56,71 @@ class Record {
 
  private:
   std::vector<Value> values_;
+};
+
+/// The type tag written before each value of an encoded record.
+enum RecordTag : uint8_t {
+  kTagNull = 0,
+  kTagUint64 = 1,
+  kTagInt64 = 2,
+  kTagBool = 3,
+  kTagDouble = 4,
+  kTagString = 5,
+};
+
+/// Reads an encoded record's values in column order without building a
+/// `Record`: a projection reads the columns it needs, typed, and skips the
+/// rest. Each call consumes one value. The first failure sticks, and every
+/// later call fails too, so a caller can read a row of columns and then
+/// check `status()` once.
+class RecordReader {
+ public:
+  /// Reads the leading arity; a bad one fails the reader.
+  explicit RecordReader(Slice input);
+
+  /// Number of values the record declares.
+  uint32_t arity() const { return arity_; }
+
+  /// Consumes the next value, whatever its type.
+  bool Next(Value* value);
+  /// Consumes the next value, which must be a uint64. Inline: a projection
+  /// calls it for most columns of every row it reads.
+  bool NextUint(uint64_t* value) {
+    uint8_t tag = 0;
+    if (!NextTag(&tag)) return false;
+    if (tag != kTagUint64) return WrongType(tag, "uint64");
+    return GetVarint64(&input_, value) || Fail("record: bad uint64");
+  }
+  /// Consumes the next value, which must be a string. The slice points into
+  /// the input.
+  bool NextString(Slice* value);
+  /// Consumes the next value without keeping it.
+  bool Skip();
+
+  /// OK, or the Corruption that stopped the reader.
+  const Status& status() const { return status_; }
+
+ private:
+  bool Fail(const std::string& why);
+  bool WrongType(uint8_t tag, const char* want);
+  /// Consumes the next value's type tag.
+  bool NextTag(uint8_t* tag) {
+    if (read_ >= arity_ || input_.empty()) return PastTheEnd();
+    *tag = static_cast<uint8_t>(input_[0]);
+    input_.remove_prefix(1);
+    ++read_;
+    return true;
+  }
+  /// Why NextTag found no value: truncated, or read past the last value.
+  bool PastTheEnd();
+  /// Consumes the payload of a value tagged `tag`; stores it when `value`
+  /// is non-null.
+  bool Payload(uint8_t tag, Value* value);
+
+  Slice input_;
+  uint32_t arity_ = 0;
+  uint32_t read_ = 0;  // values consumed so far
+  Status status_;
 };
 
 }  // namespace tendax

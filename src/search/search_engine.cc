@@ -330,8 +330,13 @@ SearchEngine::SearchEngine(Database* db, TextStore* text, MetaStore* meta,
     : db_(db), text_(text), meta_(meta), docs_(docs), lineage_(lineage) {}
 
 Status SearchEngine::Init() {
-  for (DocumentId doc : text_->ListDocuments()) {
-    TENDAX_RETURN_IF_ERROR(IndexDocument(doc));
+  // Index nothing yet: every stored document is dirty at version 0, and the
+  // first query builds each one's postings by diffing from empty. So a
+  // restart loads no chain on the search index's behalf.
+  std::vector<DocumentId> docs = text_->ListDocuments();
+  {
+    MutexLock lock(mu_);
+    for (DocumentId doc : docs) dirty_docs_[doc.value] = 0;
   }
   db_->txns()->AddCommitListener(
       [this](TxnId, UserId, const ChangeBatch& batch) {

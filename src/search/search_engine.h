@@ -49,18 +49,20 @@ struct SearchFilter {
 std::vector<std::string> Tokenize(const std::string& text);
 
 /// Content / structure / metadata search with pluggable ranking over an
-/// incrementally maintained in-memory inverted index (derived data, rebuilt
-/// at startup). A committed edit only marks its document dirty; the next
-/// query brings each dirty document up to its latest snapshot by walking
-/// the snapshot's copy-on-write tree together with the one last indexed,
-/// skipping every shared subtree, and re-tokenizing only the windows around
-/// the leaves that changed.
+/// incrementally maintained in-memory inverted index (derived data, built
+/// lazily after startup). A committed edit only marks its document dirty;
+/// the next query brings each dirty document up to its latest snapshot by
+/// walking the snapshot's copy-on-write tree together with the one last
+/// indexed, skipping every shared subtree, and re-tokenizing only the
+/// windows around the leaves that changed. A document never indexed is
+/// diffed from empty, which is its full build.
 class SearchEngine {
  public:
   SearchEngine(Database* db, TextStore* text, MetaStore* meta,
                DocumentModel* docs, LineageAnalyzer* lineage);
 
-  /// Builds the index over existing documents and subscribes to commits.
+  /// Marks every existing document dirty, so the first query indexes it,
+  /// and subscribes to commits. Reads no document text.
   Status Init();
 
   /// Multi-term AND query (terms are tokenized from `query`).

@@ -22,6 +22,7 @@ enum CharCol : size_t {
   kCcSrcDoc,
   kCcSrcChar,
   kCcSrcExt,
+  kCharColumns,
 };
 
 // Column positions in the documents table.
@@ -87,6 +88,46 @@ CharInfo CharInfoFromRecord(const Record& rec) {
   return info;
 }
 
+// The char table's projections read records column by column, so a record
+// of the wrong shape fails here as Corruption, never as a crash.
+Status BadCharRecord(RecordId rid, const RecordReader& reader) {
+  std::string why = reader.status().ok()
+                        ? std::to_string(reader.arity()) + " columns, want " +
+                              std::to_string(kCharColumns)
+                        : reader.status().ToString();
+  return Status::Corruption("char record " + rid.ToString() + ": " + why);
+}
+
+// The restart's projection of a char record: its id alone.
+Status DecodeCharId(RecordId rid, Slice bytes, uint64_t* id) {
+  RecordReader reader(bytes);
+  if (reader.arity() == kCharColumns && reader.NextUint(id)) {
+    return Status::OK();
+  }
+  return BadCharRecord(rid, reader);
+}
+
+// Decodes a char record straight into the chain's form, plus its `next`
+// link. Columns come in kCc order.
+Status DecodeChainChar(RecordId rid, Slice bytes, SnapChar* sc,
+                       uint64_t* next) {
+  RecordReader reader(bytes);
+  uint64_t cp = 0;
+  Slice external;
+  if (reader.arity() == kCharColumns && reader.NextUint(&sc->id) &&
+      reader.Skip() /* doc */ && reader.NextUint(&cp) &&
+      reader.Skip() /* prev */ && reader.NextUint(next) &&
+      reader.Skip() /* author */ && reader.Skip() /* created */ &&
+      reader.NextUint(&sc->inserted) && reader.NextUint(&sc->deleted) &&
+      reader.Skip() /* deleted_by */ && reader.NextUint(&sc->src_doc) &&
+      reader.NextUint(&sc->src_char) && reader.NextString(&external)) {
+    sc->cp = static_cast<uint32_t>(cp);
+    sc->src_external.assign(external.data(), external.size());
+    return Status::OK();
+  }
+  return BadCharRecord(rid, reader);
+}
+
 std::vector<uint64_t> CharIdValues(const std::vector<CharId>& ids) {
   std::vector<uint64_t> out;
   out.reserve(ids.size());
@@ -102,6 +143,7 @@ TextStore::TextStore(Database* db)
                                                  db->metrics_shared())) {
   if (db_->metrics() != nullptr) {
     m_evictions_ = db_->metrics()->counter("mvcc.evictions");
+    m_loads_ = db_->metrics()->counter("text.handle_loads");
   }
 }
 
@@ -117,17 +159,23 @@ Status TextStore::Init() {
   if (!meta.ok()) return meta.status();
   meta_table_ = *meta;
 
-  // Rebuild derived state: the rid maps and the id counters. A purged char
-  // is gone from the table, so its id only survives in the meta row.
+  // Rebuild derived state: the rid maps and the id counters. Of a char
+  // record only its id is read. A purged char is gone from the table, so
+  // its id only survives in the meta row. No chain is loaded here: a
+  // document's first read, edit or search does that.
   uint64_t max_char = 0, max_doc = 0;
   std::unordered_map<uint64_t, RecordId> by_char, by_doc;
+  Status decoded = Status::OK();
   TENDAX_RETURN_IF_ERROR(
-      chars_table_->Scan([&](RecordId rid, const Record& rec) {
-        uint64_t id = rec.GetUint(kCcId);
+      chars_table_->ScanBytes([&](RecordId rid, Slice bytes) {
+        uint64_t id = 0;
+        decoded = DecodeCharId(rid, bytes, &id);
+        if (!decoded.ok()) return false;
         max_char = std::max(max_char, id);
         by_char[id] = rid;
         return true;
       }));
+  TENDAX_RETURN_IF_ERROR(decoded);
   TENDAX_RETURN_IF_ERROR(
       docs_table_->Scan([&](RecordId rid, const Record& rec) {
         uint64_t id = rec.GetUint(kDcId);
@@ -248,8 +296,11 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
   handle->chain.Clear();
 
   // Walk the linked character records (including tombstones) to rebuild the
-  // in-memory chain cache.
+  // in-memory chain cache, decoding each straight into its chain form.
   std::vector<SnapChar> chain;
+  chain.reserve(rec->GetUint(kDcLive));  // tombstones may add more
+  HeapTable::Cursor cursor(chars_table_);
+  std::string bytes;
   uint64_t current = handle->head;
   while (current != 0) {
     std::optional<RecordId> rid = FindRid(kCharRids, current);
@@ -257,21 +308,13 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
       return Status::Corruption("char chain references unknown char " +
                                 std::to_string(current));
     }
-    auto crec = chars_table_->Get(*rid);
-    if (!crec.ok()) return crec.status();
-    SnapChar sc;
-    sc.id = current;
-    sc.cp = static_cast<uint32_t>(crec->GetUint(kCcCp));
-    sc.inserted = crec->GetUint(kCcInsVer);
-    sc.deleted = crec->GetUint(kCcDelVer);
-    sc.src_doc = crec->GetUint(kCcSrcDoc);
-    sc.src_char = crec->GetUint(kCcSrcChar);
-    sc.src_external = crec->GetString(kCcSrcExt);
-    chain.push_back(std::move(sc));
-    current = crec->GetUint(kCcNext);
+    TENDAX_RETURN_IF_ERROR(cursor.Read(*rid, &bytes));
+    SnapChar& sc = chain.emplace_back();
+    TENDAX_RETURN_IF_ERROR(DecodeChainChar(*rid, bytes, &sc, &current));
   }
   handle->chain.Rebuild(std::move(chain));
   handle->loaded = true;
+  MetricAdd(m_loads_);
   return Status::OK();
 }
 

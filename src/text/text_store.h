@@ -74,7 +74,9 @@ class TextStore {
   explicit TextStore(Database* db);
 
   /// Creates the tables and rebuilds derived state (id counters and the
-  /// id -> rid maps) from storage. Call once after Database::Open.
+  /// id -> rid maps) from storage, reading only each char record's id.
+  /// Loads no document: each one's chain is built on its first use. Call
+  /// once after Database::Open.
   Status Init();
 
   // --- document lifecycle ---
@@ -300,6 +302,9 @@ class TextStore {
 
   std::shared_ptr<SnapshotTracker> tracker_;
   Counter* m_evictions_ = nullptr;
+  // Chains loaded from storage (`text.handle_loads`): a document's first
+  // use after open or eviction, or a reload after an abort.
+  Counter* m_loads_ = nullptr;
 
   // Registry of handles only; always released before a handle's own mu.
   Mutex handles_mu_{"textstore.handles", lockorder::kRankDocument};

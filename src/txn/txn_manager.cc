@@ -45,13 +45,16 @@ Status TxnManager::Commit(Transaction* txn) {
   // First statement after the precondition so every exit — flush failure
   // and success — records commit latency via RAII.
   ScopedTimer commit_timer(m_commit_micros_);
-  if (wal_ != nullptr && !txn->read_only()) {
+  // Every logged begin ends in a commit record, or recovery would count a
+  // transaction that wrote nothing as a loser. Only one that wrote waits
+  // for the flush: losing an empty transaction's commit undoes nothing.
+  if (txn->first_lsn() != kInvalidLsn) {
     LogRecord rec;
     rec.type = LogType::kCommit;
     rec.txn = txn->id();
     rec.prev_lsn = txn->prev_lsn();
     const Lsn lsn = wal_->Append(&rec);
-    if (sync_commit_) {
+    if (sync_commit_ && !txn->read_only()) {
       // Strict 2PL: locks are held through the flush, so a failed flush
       // can roll back in place — effects undone, locks released, no
       // listeners run. Whether the commit record reached durable storage
@@ -129,7 +132,7 @@ Status TxnManager::Abort(Transaction* txn) {
       if (!applied.ok() && first_error.ok()) first_error = applied;
     }
   }
-  if (wal_ != nullptr && !txn->read_only()) {
+  if (txn->first_lsn() != kInvalidLsn) {
     LogRecord rec;
     rec.type = LogType::kAbort;
     rec.txn = txn->id();

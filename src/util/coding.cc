@@ -93,22 +93,6 @@ bool GetFixed64(Slice* input, uint64_t* value) {
   return true;
 }
 
-bool GetVarint64(Slice* input, uint64_t* value) {
-  uint64_t result = 0;
-  for (uint32_t shift = 0; shift <= 63 && !input->empty(); shift += 7) {
-    uint64_t byte = static_cast<unsigned char>((*input)[0]);
-    input->remove_prefix(1);
-    if (byte & 0x80) {
-      result |= (byte & 0x7f) << shift;
-    } else {
-      result |= byte << shift;
-      *value = result;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool GetVarint32(Slice* input, uint32_t* value) {
   uint64_t v;
   if (!GetVarint64(input, &v) || v > UINT32_MAX) return false;

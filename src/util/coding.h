@@ -32,7 +32,22 @@ bool GetFixed16(Slice* input, uint16_t* value);
 bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);
 bool GetVarint32(Slice* input, uint32_t* value);
-bool GetVarint64(Slice* input, uint64_t* value);
+/// Inline: record and log decoding call it once per value.
+inline bool GetVarint64(Slice* input, uint64_t* value) {
+  const char* p = input->data();
+  const char* const end = p + input->size();
+  uint64_t result = 0;
+  for (uint32_t shift = 0; shift <= 63 && p < end; shift += 7) {
+    const uint64_t byte = static_cast<unsigned char>(*p++);
+    result |= (byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      input->remove_prefix(static_cast<size_t>(p - input->data()));
+      return true;
+    }
+  }
+  return false;
+}
 /// Parses a varint32 length prefix and the following bytes into `result`
 /// (which aliases `input`'s storage).
 bool GetLengthPrefixed(Slice* input, Slice* result);

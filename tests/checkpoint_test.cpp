@@ -1028,6 +1028,51 @@ TEST(CleanCloseTest, ReopenAfterCleanCloseScansNoRecords) {
   }
 }
 
+// A read-write transaction that writes nothing still logs its begin, so it
+// must log its end too, or recovery counts it as a loser. A reopen's first
+// read of a document runs one such transaction (the snapshot rebuild under
+// a shared document lock).
+TEST(CleanCloseTest, EmptyReadWriteTxnLeavesNoLoser) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  UserId user;
+  DocumentId doc;
+  {
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto u = (*server)->accounts()->CreateUser("reader");
+    ASSERT_TRUE(u.ok());
+    user = *u;
+    auto d = (*server)->text()->CreateDocument(user, "existing.txt");
+    ASSERT_TRUE(d.ok());
+    doc = *d;
+    ASSERT_TRUE((*server)->text()->InsertText(user, doc, 0, "kept").ok());
+  }
+  auto empty_txn = [&](TendaxServer* server) {
+    return server->db()->txns()->RunInTxn(
+        user, [](Transaction*) { return Status::OK(); });
+  };
+  {
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_EQ(*(*server)->text()->Text(doc), "kept");
+    ASSERT_TRUE(empty_txn(server->get()).ok());
+    (*server)->db()->SimulateCrash();
+  }
+  {
+    auto server = OpenShared(disk, log);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    const RecoveryStats& stats = (*server)->db()->recovery_stats();
+    EXPECT_GE(stats.txns_seen, 2u) << "the crash left no transaction to see";
+    EXPECT_EQ(stats.losers, 0u);
+    EXPECT_EQ(stats.winners, stats.txns_seen);
+    EXPECT_EQ(*(*server)->text()->Text(doc), "kept");
+    ASSERT_TRUE(empty_txn(server->get()).ok());
+  }
+  EXPECT_EQ(LogRecordCount(log.get()), 0u)
+      << "a clean close must leave no record to replay";
+}
+
 // Power loss at every I/O the close issues: the log flush (an aborted
 // transaction's records are still buffered, since an abort does not
 // flush), each page write, the data sync, and the log truncate. Each cut

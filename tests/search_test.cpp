@@ -44,6 +44,52 @@ class SearchTest : public ServerTest {
     EXPECT_EQ(server_->search()->DirtyDocuments(), 0u);
   }
 
+  /// A restart builds no postings: until the first query every document
+  /// is dirty and none is indexed, even after one document is edited, one
+  /// renamed and one purged on the reopened server. The first query must
+  /// then equal a full re-index.
+  void ExpectLazyIndexAcrossReopen(bool crash) {
+    DocumentId edited =
+        MakeDoc(alice_, "edited-notes", "alpha beta gamma delta epsilon ");
+    DocumentId renamed =
+        MakeDoc(alice_, "old-title", "rename target body words ");
+    DocumentId purged =
+        MakeDoc(alice_, "purged", "keep these words erase those words ");
+    DocumentId untouched = MakeDoc(bob_, "untouched", "quiet document text");
+    ASSERT_TRUE(server_->text()->DeleteRange(alice_, purged, 17, 12).ok());
+    ASSERT_TRUE(server_->search()->Search("words").ok());
+    // Committed before the crash but still only in the log.
+    ASSERT_TRUE(server_->text()->InsertText(bob_, untouched, 0, "loud ").ok());
+
+    ASSERT_NO_FATAL_FAILURE(Reopen(crash));
+    const size_t docs = server_->text()->ListDocuments().size();
+    ASSERT_GE(docs, 4u);
+    EXPECT_EQ(server_->search()->IndexedDocuments(), 0u);
+    EXPECT_EQ(server_->search()->DirtyDocuments(), docs);
+
+    ASSERT_TRUE(server_->text()->InsertText(alice_, edited, 0, "zebra ").ok());
+    ASSERT_TRUE(
+        server_->text()->RenameDocument(alice_, renamed, "new-title").ok());
+    auto version = server_->text()->CurrentVersion(purged);
+    ASSERT_TRUE(version.ok());
+    auto removed = server_->text()->PurgeHistory(alice_, purged, *version);
+    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+    EXPECT_EQ(*removed, 12u);
+    EXPECT_EQ(server_->search()->IndexedDocuments(), 0u);
+    EXPECT_EQ(server_->search()->DirtyDocuments(), docs);
+
+    auto hits = server_->search()->Search("title");
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), 1u);
+    EXPECT_EQ((*hits)[0].name, "new-title");
+    EXPECT_TRUE(server_->search()->Search("old")->empty());
+    EXPECT_TRUE(server_->search()->Search("erase")->empty());
+    EXPECT_EQ(server_->search()->Search("loud")->size(), 1u);
+    ExpectEqualsFullReindex({"alpha", "zebra", "title", "new", "old", "keep",
+                             "words", "erase", "those", "quiet", "loud",
+                             "untouched", "purged", "notes"});
+  }
+
   /// Up to `n` distinct tokens of `doc`'s current text and name.
   std::vector<std::string> SampleTokens(DocumentId doc, size_t n,
                                         Random* rng) {
@@ -483,6 +529,74 @@ TEST_F(SearchTest, ConcurrentTypistsAndSearcherConvergeToFullReindex) {
       queries.push_back(t);
     }
   }
+  ExpectEqualsFullReindex(queries);
+}
+
+TEST_F(SearchTest, IndexBuildsLazilyAfterCleanReopen) {
+  ExpectLazyIndexAcrossReopen(/*crash=*/false);
+}
+
+TEST_F(SearchTest, IndexBuildsLazilyAfterCrashReopen) {
+  ExpectLazyIndexAcrossReopen(/*crash=*/true);
+}
+
+// The first query after a restart builds every document's postings and
+// loads every chain it needs, while a typist commits edits to the same
+// documents. Once the typist stops, the index must equal a full re-index.
+TEST_F(SearchTest, FirstRefreshAfterReopenRacesCommits) {
+  Random words(11);
+  const char* vocabulary[] = {"river", "stone", "maple", "cloud", "amber",
+                              "flint", "cedar", "harbor", "quill", "ember"};
+  std::vector<DocumentId> docs;
+  for (int d = 0; d < 6; ++d) {
+    std::string text;
+    while (text.size() < 3000) {
+      text += vocabulary[words.Uniform(10)];
+      text += words.OneIn(8) ? ".\n" : " ";
+    }
+    docs.push_back(MakeDoc(alice_, "racing-" + std::to_string(d), text));
+  }
+  ASSERT_NO_FATAL_FAILURE(Reopen(/*crash=*/false));
+  ASSERT_EQ(server_->search()->IndexedDocuments(), 0u);
+
+  std::atomic<int> committed{0};
+  std::atomic<bool> searched{false};
+  std::atomic<int> failures{0};
+  std::thread typist([&] {
+    Random rng(23);
+    const std::string keys = "xyz ,\n";
+    // Types on until 50 keystrokes after the first query returned.
+    int after = 0;
+    while (after < 50) {
+      if (searched.load()) ++after;
+      DocumentId doc = docs[rng.Uniform(docs.size())];
+      uint64_t len = server_->text()->Length(doc).value_or(0);
+      Status st =
+          rng.OneIn(4) && len > 0
+              ? server_->text()
+                    ->DeleteRange(alice_, doc, rng.Uniform(len), 1)
+                    .status()
+              : server_->text()
+                    ->InsertText(alice_, doc, rng.Uniform(len + 1),
+                                 std::string(1, keys[rng.Uniform(keys.size())]))
+                    .status();
+      if (st.ok()) {
+        ++committed;
+      } else {
+        ++failures;
+      }
+    }
+  });
+  while (committed.load() == 0) std::this_thread::yield();
+  auto first = server_->search()->Search("river");
+  searched = true;
+  typist.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(failures.load(), 0);
+  std::vector<std::string> queries(std::begin(vocabulary),
+                                   std::end(vocabulary));
+  queries.push_back("xyz");
+  queries.push_back("racing");
   ExpectEqualsFullReindex(queries);
 }
 

@@ -10,18 +10,14 @@
 namespace tendax {
 
 /// Opens an in-memory TeNDaX server with a deterministic manual clock and
-/// two users (alice, bob) for module tests above the storage layer.
+/// two users (alice, bob) for module tests above the storage layer. The
+/// storage outlives the server, so a test can restart it with Reopen.
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    TendaxOptions options;
     clock_ = std::make_shared<ManualClock>(/*start=*/1'000'000'000,
                                            /*tick=*/1000);
-    options.db.clock = clock_;
-    options.db.buffer_pool_pages = 1024;
-    auto server = TendaxServer::Open(std::move(options));
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    server_ = std::move(*server);
+    ASSERT_NO_FATAL_FAILURE(OpenServer());
 
     auto alice = server_->accounts()->CreateUser("alice");
     auto bob = server_->accounts()->CreateUser("bob");
@@ -29,6 +25,14 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(bob.ok());
     alice_ = *alice;
     bob_ = *bob;
+  }
+
+  /// Restarts the server over the same storage: a clean close, or a crash
+  /// that drops every unflushed page first.
+  void Reopen(bool crash) {
+    if (crash) server_->db()->SimulateCrash();
+    server_.reset();
+    ASSERT_NO_FATAL_FAILURE(OpenServer());
   }
 
   /// Creates a document owned by `user` with `content` typed into it.
@@ -43,7 +47,23 @@ class ServerTest : public ::testing::Test {
     return *doc;
   }
 
+  void OpenServer() {
+    TendaxOptions options;
+    options.db.clock = clock_;
+    options.db.disk = disk_;
+    options.db.log_storage = log_;
+    options.db.buffer_pool_pages = 1024;
+    auto server = TendaxServer::Open(std::move(options));
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(*server);
+  }
+
   std::shared_ptr<ManualClock> clock_;
+  // In memory, and kept here so that Reopen finds the same pages and log.
+  std::shared_ptr<InMemoryDiskManager> disk_ =
+      std::make_shared<InMemoryDiskManager>();
+  std::shared_ptr<InMemoryLogStorage> log_ =
+      std::make_shared<InMemoryLogStorage>();
   std::unique_ptr<TendaxServer> server_;
   UserId alice_;
   UserId bob_;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <thread>
 
+#include "core/tendax.h"
 #include "text/text_store.h"
 #include "text/utf8.h"
 #include "util/random.h"
@@ -898,6 +900,227 @@ TEST(TextStoreRecoveryTest, PurgedCharIdsAreNotReusedAfterReopen) {
     EXPECT_TRUE(store.GetChar(doc, info->src_char).status().IsNotFound())
         << "src_char " << info->src_char.value << " resolves again";
   }
+}
+
+// ---------- restart: the projected id scan and lazy loading ----------
+
+std::unique_ptr<Database> OpenOn(const std::shared_ptr<DiskManager>& disk,
+                                 const std::shared_ptr<LogStorage>& log) {
+  DatabaseOptions options;
+  options.disk = disk;
+  options.log_storage = log;
+  options.buffer_pool_pages = 256;
+  auto db = Database::Open(options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return db.ok() ? std::move(*db) : nullptr;
+}
+
+// Init reads only each char record's id. What it builds must equal a full
+// decode of the table: every stored char resolves to its own record (ids
+// are unique, so the same record is the same rid), a purged id resolves to
+// nothing, and the next id passes both the table's highest id and the
+// purged high-water mark in tendax_text_meta.
+TEST(TextStoreRestartTest, ProjectedIdScanMatchesFullDecode) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  const UserId user(1);
+  DocumentId typed, pasted;
+  std::vector<CharId> purged_ids;
+  {
+    auto db = OpenOn(disk, log);
+    ASSERT_NE(db, nullptr);
+    TextStore store(db.get());
+    ASSERT_TRUE(store.Init().ok());
+    typed = *store.CreateDocument(user, "typed");
+    pasted = *store.CreateDocument(user, "pasted");
+    ASSERT_TRUE(store.InsertText(user, typed, 0, "hello world").ok());
+    ASSERT_TRUE(
+        store.InsertText(user, pasted, 0, "imported", "web:example.org").ok());
+    auto clip = store.Copy(user, typed, 0, 5);
+    ASSERT_TRUE(clip.ok());
+    ASSERT_TRUE(store.Paste(user, pasted, 0, *clip).ok());
+    // The newest ids die and are purged: only the meta row remembers them.
+    auto tail = store.InsertText(user, typed, 11, " tail");
+    ASSERT_TRUE(tail.ok());
+    purged_ids = tail->chars;
+    ASSERT_TRUE(store.DeleteRange(user, typed, 11, 5).ok());
+    auto purged = store.PurgeHistory(user, typed, *store.CurrentVersion(typed));
+    ASSERT_TRUE(purged.ok());
+    ASSERT_EQ(*purged, 5u);
+  }
+  auto db = OpenOn(disk, log);
+  ASSERT_NE(db, nullptr);
+  auto chars = db->GetTable("tendax_chars");
+  auto meta = db->GetTable("tendax_text_meta");
+  ASSERT_TRUE(chars.ok() && meta.ok());
+  std::map<uint64_t, Record> full;
+  uint64_t table_high = 0, purged_high = 0;
+  ASSERT_TRUE((*chars)
+                  ->Scan([&](RecordId, const Record& rec) {
+                    table_high = std::max(table_high, rec.GetUint(0));
+                    EXPECT_TRUE(full.emplace(rec.GetUint(0), rec).second);
+                    return true;
+                  })
+                  .ok());
+  ASSERT_TRUE((*meta)
+                  ->Scan([&](RecordId, const Record& rec) {
+                    purged_high = std::max(purged_high, rec.GetUint(0));
+                    return true;
+                  })
+                  .ok());
+  ASSERT_EQ(full.size(), 11u + 8u + 5u);
+  ASSERT_GT(purged_high, table_high)
+      << "the newest ids must survive only in the meta row";
+
+  TextStore store(db.get());
+  ASSERT_TRUE(store.Init().ok());
+  size_t external = 0;
+  for (const auto& [id, rec] : full) {
+    auto info = store.GetChar(DocumentId(rec.GetUint(1)), CharId(id));
+    ASSERT_TRUE(info.ok()) << "char " << id << ": "
+                           << info.status().ToString();
+    EXPECT_EQ(info->id.value, id);
+    EXPECT_EQ(info->cp, rec.GetUint(2));
+    EXPECT_EQ(info->inserted_version, rec.GetUint(7));
+    EXPECT_EQ(info->deleted_version, rec.GetUint(8));
+    EXPECT_EQ(info->src_char.value, rec.GetUint(11));
+    EXPECT_EQ(info->src_external, rec.GetString(12));
+    if (!info->src_external.empty()) ++external;
+  }
+  EXPECT_EQ(external, 8u);
+  for (CharId id : purged_ids) {
+    EXPECT_TRUE(store.GetChar(typed, id).status().IsNotFound());
+  }
+  auto next = store.InsertText(user, typed, 0, "n");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->chars.front().value, std::max(table_high, purged_high) + 1);
+  EXPECT_EQ(*store.Text(pasted), "helloimported");
+  EXPECT_TRUE(db->CheckIntegrity().ok());
+}
+
+// A char record of the wrong shape is Corruption, never a crash: a bad
+// arity or a non-uint id fails Init's id scan, and a bad later column or a
+// truncated record fails the document's first load.
+TEST(TextStoreRestartTest, MalformedCharRecordIsCorruption) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  DocumentId doc;
+  {
+    auto db = OpenOn(disk, log);
+    ASSERT_NE(db, nullptr);
+    TextStore store(db.get());
+    ASSERT_TRUE(store.Init().ok());
+    doc = *store.CreateDocument(UserId(1), "victim");
+    ASSERT_TRUE(store.InsertText(UserId(1), doc, 0, "abc").ok());
+  }
+  RecordId rid;
+  std::string original;
+  {
+    auto db = OpenOn(disk, log);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE((*db->GetTable("tendax_chars"))
+                    ->ScanBytes([&](RecordId r, Slice bytes) {
+                      rid = r;
+                      original = bytes.ToString();
+                      return false;
+                    })
+                    .ok());
+  }
+  const Record good = *Record::Decode(original);
+  Record string_id = good;
+  string_id.value(0) = std::string("1");
+  Record string_cp = good;
+  string_cp.value(2) = std::string("a");
+  struct Case {
+    const char* what;
+    std::string image;
+    bool fails_init;
+  };
+  const Case cases[] = {
+      {"12 columns",
+       Record(std::vector<Value>(12, Value(uint64_t{1}))).Encode(), true},
+      {"14 columns",
+       Record(std::vector<Value>(14, Value(uint64_t{1}))).Encode(), true},
+      {"string id", string_id.Encode(), true},
+      {"unreadable arity", std::string(1, '\xff'), true},
+      {"string codepoint", string_cp.Encode(), false},
+      {"truncated", original.substr(0, original.size() - 2), false},
+      {"restored", original, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    // One TextStore per open: each registers a commit listener for the
+    // database's lifetime.
+    auto db = OpenOn(disk, log);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE((*db->GetTable("tendax_chars"))
+                    ->ApplyChange(UpdateOp::kUpdate, rid, c.image, kInvalidLsn)
+                    .ok());
+    TextStore store(db.get());
+    Status init = store.Init();
+    if (c.fails_init) {
+      EXPECT_TRUE(init.IsCorruption()) << init.ToString();
+      continue;
+    }
+    ASSERT_TRUE(init.ok()) << init.ToString();
+    auto text = store.Text(doc);
+    if (c.image == original) {
+      EXPECT_EQ(text.value_or(""), "abc");
+    } else {
+      EXPECT_TRUE(text.status().IsCorruption()) << text.status().ToString();
+    }
+  }
+}
+
+// After a restart no chain is loaded until its document's first read, edit
+// or search, and each is loaded once.
+TEST(TextStoreRestartTest, ReopenLoadsNoChainUntilFirstUse) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  auto open = [&] {
+    TendaxOptions options;
+    options.db.disk = disk;
+    options.db.log_storage = log;
+    options.db.buffer_pool_pages = 256;
+    auto server = TendaxServer::Open(std::move(options));
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return server.ok() ? std::move(*server) : nullptr;
+  };
+  UserId user;
+  std::vector<DocumentId> docs;
+  {
+    auto server = open();
+    ASSERT_NE(server, nullptr);
+    user = *server->accounts()->CreateUser("writer");
+    for (const char* name : {"read", "edit", "search", "idle"}) {
+      auto doc = server->text()->CreateDocument(user, name);
+      ASSERT_TRUE(doc.ok());
+      ASSERT_TRUE(
+          server->text()->InsertText(user, *doc, 0, "common words").ok());
+      docs.push_back(*doc);
+    }
+    ASSERT_TRUE(server->search()->Search("common").ok());
+  }
+  auto server = open();
+  ASSERT_NE(server, nullptr);
+  auto loads = [&] {
+    return server->metrics()->counter("text.handle_loads")->Value();
+  };
+  EXPECT_EQ(loads(), 0u) << "the open loaded a chain";
+  EXPECT_EQ(*server->text()->Text(docs[0]), "common words");
+  EXPECT_EQ(loads(), 1u);
+  EXPECT_EQ(*server->text()->Length(docs[0]), 12u);
+  EXPECT_EQ(loads(), 1u);
+  ASSERT_TRUE(server->text()->InsertText(user, docs[1], 0, "more ").ok());
+  EXPECT_EQ(loads(), 2u);
+  auto hits = server->search()->Search("common");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits->size(), 4u);
+  EXPECT_EQ(loads(), 4u) << "the first query loads the chains not yet used";
+  ASSERT_TRUE(server->search()->Search("more").ok());
+  EXPECT_EQ(loads(), 4u);
+  Status integrity = server->CheckIntegrity();
+  EXPECT_TRUE(integrity.ok()) << integrity.ToString();
 }
 
 }  // namespace

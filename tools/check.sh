@@ -14,7 +14,9 @@
 #   3. checkpoint      ctest -L checkpoint on a default build — fuzzy
 #                      checkpoint pipeline, WAL truncation, crash sweep,
 #                      the clean close that empties the log (and its
-#                      crash sweep), LSNs across a reopen of an empty log
+#                      crash sweep), LSNs across a reopen of an empty log,
+#                      and the restart itself: the projected char-id scan,
+#                      chains and search postings built on first use
 #   4. overload        ctest -L overload on a default build — admission
 #                      control, deadline propagation, the editor storm
 #   5. mvcc            ctest -L mvcc on a default build — lock-free
